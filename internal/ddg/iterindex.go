@@ -1,24 +1,23 @@
 package ddg
 
 // Loop-iteration indexes: the materialized form of the paper's DDG
-// Compaction phase (§5), computed once per graph instead of once per
+// Compaction phase (§5), derived once per graph instead of once per
 // sub-DDG view.
 //
 // A LoopIterIndex maps every node to the dense ordinal of its dynamic
 // iteration of one static loop — the group the compacted view of any
-// sub-DDG derived from that loop places it in. The per-thread tracer
-// folds iteration runs online while the traced program executes
-// (internal/trace), so finalization installs these indexes on the frozen
-// graph and patterns.LoopView degenerates to a bucket sort over
-// precomputed ordinals: no scope-chain walks, no per-view key maps.
-// Graphs built outside the tracer (Canonicalize, InducedSubgraph sources,
-// tests) simply carry no indexes and views fall back to the scope-chain
-// path; both paths group byte-identically, which the differential suite
-// asserts.
+// sub-DDG derived from that loop places it in. Graph.LoopIterIndex derives
+// the indexes of all loops from the nodes' scope chains in one pass on
+// first use and memoizes them, so patterns.LoopView and the prescreen
+// census are lookups over precomputed ordinals: no scope-chain walks, no
+// per-view key maps. This file is the only code that decides which nodes
+// share an iteration; CheckInvariants audits its answer against
+// Scope.FrameFor node by node.
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"discovery/internal/analysis"
 	"discovery/internal/mir"
@@ -35,118 +34,164 @@ type LoopIterIndex struct {
 	ord  []int32
 }
 
-// NewLoopIterIndex builds an index from a key table and a node→ordinal
-// map. Keys must be sorted strictly ascending by (invocation, iteration)
-// and every non-negative ordinal must address a key; violations return an
-// InvariantViolation instead of installing a corrupt index.
-func NewLoopIterIndex(loop mir.LoopID, keys []IterationKey, ord []int32) (*LoopIterIndex, error) {
-	for i := 1; i < len(keys); i++ {
-		a, b := keys[i-1], keys[i]
-		if a.Invocation > b.Invocation || (a.Invocation == b.Invocation && a.Iter >= b.Iter) {
-			return nil, analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
-				"ddg: iteration index for loop %d has unsorted keys at %d", loop, i)
-		}
-	}
-	for u, o := range ord {
-		if o < -1 || int(o) >= len(keys) {
-			return nil, analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
-				"ddg: iteration index for loop %d maps node %d to ordinal %d of %d keys",
-				loop, u, o, len(keys))
-		}
-	}
-	return &LoopIterIndex{Loop: loop, Keys: keys, ord: ord}, nil
+// iterIndexMemo caches a frozen graph's derived indexes (see
+// iterIndexes); immutable once computed.
+type iterIndexMemo struct {
+	once   sync.Once
+	byLoop map[mir.LoopID]*LoopIterIndex
 }
 
 // OrdinalOf returns the dense iteration ordinal of node u, or ok=false if
-// u did not execute inside the loop.
+// u did not execute inside the loop. A nil index (a loop no node of the
+// graph executed in) answers ok=false for every node.
 func (ix *LoopIterIndex) OrdinalOf(u NodeID) (int32, bool) {
-	if int(u) >= len(ix.ord) || ix.ord[u] < 0 {
+	if ix == nil || int(u) >= len(ix.ord) || ix.ord[u] < 0 {
 		return 0, false
 	}
 	return ix.ord[u], true
 }
 
 // NumGroups returns the number of dynamic iterations the index covers.
-func (ix *LoopIterIndex) NumGroups() int { return len(ix.Keys) }
-
-// restrict remaps the index onto a subgraph: newOrd[i] = ord[back[i]].
-// The key table is shared — ordinals keep their global order, which is
-// all compacted views need (absent ordinals simply produce no group).
-func (ix *LoopIterIndex) restrict(back []NodeID) *LoopIterIndex {
-	ord := make([]int32, len(back))
-	for i, old := range back {
-		if int(old) < len(ix.ord) {
-			ord[i] = ix.ord[old]
-		} else {
-			ord[i] = -1
-		}
+func (ix *LoopIterIndex) NumGroups() int {
+	if ix == nil {
+		return 0
 	}
-	return &LoopIterIndex{Loop: ix.Loop, Keys: ix.Keys, ord: ord}
-}
-
-// InstallLoopIterIndexes attaches compaction indexes to the graph. It is
-// called once, by the tracer's finalization (or a test harness), after
-// the graph's nodes exist; each index must cover exactly the graph's
-// nodes. Re-installation is rejected — indexes describe immutable scope
-// chains, so there is never a second, different truth to install.
-func (g *Graph) InstallLoopIterIndexes(ixs []*LoopIterIndex) error {
-	if g.iterIdx != nil {
-		return analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
-			"ddg: loop-iteration indexes installed twice")
-	}
-	m := make(map[mir.LoopID]*LoopIterIndex, len(ixs))
-	for _, ix := range ixs {
-		if len(ix.ord) != g.NumNodes() {
-			return analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
-				"ddg: iteration index for loop %d covers %d nodes, graph has %d",
-				ix.Loop, len(ix.ord), g.NumNodes())
-		}
-		if _, dup := m[ix.Loop]; dup {
-			return analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
-				"ddg: duplicate iteration index for loop %d", ix.Loop)
-		}
-		m[ix.Loop] = ix
-	}
-	g.iterIdx = m
-	return nil
+	return len(ix.Keys)
 }
 
 // LoopIterIndex returns the compaction index for the given static loop,
-// or nil when the graph carries none (graphs built outside the tracer).
+// or nil when no node of the graph executed inside it. The first call on
+// a frozen graph derives the indexes of every loop at once
+// (deriveIterIndexes); later calls, from any goroutine, read the memo. A
+// graph still being built may gain nodes, so it derives afresh per call.
 func (g *Graph) LoopIterIndex(loop mir.LoopID) *LoopIterIndex {
-	return g.iterIdx[loop]
+	return g.iterIndexes()[loop]
 }
 
-// HasIterIndexes reports whether the graph carries online-compaction
-// indexes at all (diagnostics and tests).
-func (g *Graph) HasIterIndexes() bool { return len(g.iterIdx) > 0 }
-
-// IterIndexStats returns how many loops the graph carries online
-// compaction for and the total dynamic iterations indexed (diagnostics).
-func (g *Graph) IterIndexStats() (loops, groups int) {
-	for _, ix := range g.iterIdx {
-		loops++
-		groups += len(ix.Keys)
+func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
+	if !g.frozen {
+		return deriveIterIndexes(g)
 	}
-	return loops, groups
+	g.iters.once.Do(func() { g.iters.byLoop = deriveIterIndexes(g) })
+	return g.iters.byLoop
 }
 
-// checkIterIndexes verifies every installed index against the ground
-// truth the scope chains encode: ord agrees with IterationOf node by
-// node, the ordinal's key is the node's key, and the key table is sorted.
-// Part of CheckInvariants — an index that drifted from the chains would
-// silently change compacted views, the worst kind of wrong.
+// deriveIterIndexes computes the iteration index of every static loop
+// in one pass over the nodes. A node belongs to the iteration that its
+// innermost frame for the loop names — Scope.FrameFor's answer — so when
+// recursion re-enters a static loop the node is charged to the deepest
+// invocation. Ordinals are renumbered at the end so they ascend by
+// (invocation, iteration), the group order compacted views present.
+func deriveIterIndexes(g *Graph) map[mir.LoopID]*LoopIterIndex {
+	type dynKey struct {
+		inv  uint64
+		iter int64
+	}
+	type loopAcc struct {
+		ix   *LoopIterIndex
+		slot map[dynKey]int32 // key -> ordinal in first-seen order
+	}
+	type hit struct {
+		acc *loopAcc
+		o   int32
+	}
+	n := g.NumNodes()
+	accs := map[mir.LoopID]*loopAcc{}
+	// Consecutive nodes mostly share one *Scope (scopes are persistent:
+	// the pointer changes only at loop entry, iteration step, and exit),
+	// so the frames resolved for the previous node's scope are reused.
+	var last *Scope
+	var hits []hit
+	for u := 0; u < n; u++ {
+		if s := g.scope[u]; s != last {
+			last, hits = s, hits[:0]
+		frames:
+			for f := s; f != nil; f = f.Parent {
+				acc := accs[f.Loop]
+				if acc == nil {
+					ord := make([]int32, n)
+					for i := range ord {
+						ord[i] = -1
+					}
+					acc = &loopAcc{ix: &LoopIterIndex{Loop: f.Loop, ord: ord}, slot: map[dynKey]int32{}}
+					accs[f.Loop] = acc
+				}
+				for _, h := range hits {
+					if h.acc == acc {
+						continue frames // an inner frame of this loop already won
+					}
+				}
+				k := dynKey{f.Invocation, f.Iter}
+				o, ok := acc.slot[k]
+				if !ok {
+					o = int32(len(acc.ix.Keys))
+					acc.slot[k] = o
+					acc.ix.Keys = append(acc.ix.Keys, IterationKey{Loop: f.Loop, Invocation: f.Invocation, Iter: f.Iter})
+				}
+				hits = append(hits, hit{acc, o})
+			}
+		}
+		for _, h := range hits {
+			h.acc.ix.ord[u] = h.o
+		}
+	}
+
+	out := make(map[mir.LoopID]*LoopIterIndex, len(accs))
+	for loop, acc := range accs {
+		ix := acc.ix
+		order := make([]int32, len(ix.Keys))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		sort.Slice(order, func(i, j int) bool {
+			a, b := ix.Keys[order[i]], ix.Keys[order[j]]
+			if a.Invocation != b.Invocation {
+				return a.Invocation < b.Invocation
+			}
+			return a.Iter < b.Iter
+		})
+		rank := make([]int32, len(order))
+		sorted := make([]IterationKey, len(order))
+		for r, o := range order {
+			rank[o] = int32(r)
+			sorted[r] = ix.Keys[o]
+		}
+		ix.Keys = sorted
+		for u, o := range ix.ord {
+			if o >= 0 {
+				ix.ord[u] = rank[o]
+			}
+		}
+		out[loop] = ix
+	}
+	return out
+}
+
+// checkIterIndexes verifies the derived indexes against the ground truth
+// the scope chains encode: every loop on any chain has an index, ord
+// agrees with IterationOf node by node, the ordinal's key is the node's
+// key, and the key table is sorted. Part of CheckInvariants — an index
+// that drifted from the chains would silently change compacted views, the
+// worst kind of wrong.
 func (g *Graph) checkIterIndexes() error {
 	fail := func(format string, args ...any) error {
 		return analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation, format, args...)
 	}
-	loops := make([]mir.LoopID, 0, len(g.iterIdx))
-	for loop := range g.iterIdx {
+	byLoop := g.iterIndexes()
+	for i := 0; i < g.NumNodes(); i++ {
+		for f := g.scope[i]; f != nil; f = f.Parent {
+			if byLoop[f.Loop] == nil {
+				return fail("ddg: node %d executes in loop %d, which has no iteration index", i, f.Loop)
+			}
+		}
+	}
+	loops := make([]mir.LoopID, 0, len(byLoop))
+	for loop := range byLoop {
 		loops = append(loops, loop)
 	}
 	sort.Slice(loops, func(i, j int) bool { return loops[i] < loops[j] })
 	for _, loop := range loops {
-		ix := g.iterIdx[loop]
+		ix := byLoop[loop]
 		if ix.Loop != loop {
 			return fail("ddg: iteration index filed under loop %d names loop %d", loop, ix.Loop)
 		}
@@ -168,9 +213,9 @@ func (g *Graph) checkIterIndexes() error {
 				return fail("ddg: iteration index for loop %d disagrees with node %d's scope chain (indexed=%t, in loop=%t)",
 					loop, u, ok, inLoop)
 			}
-			if ok && ix.Keys[o] != want {
-				return fail("ddg: iteration index for loop %d groups node %d under %v, scope chain says %v",
-					loop, u, ix.Keys[o], want)
+			if ok && (int(o) >= len(ix.Keys) || ix.Keys[o] != want) {
+				return fail("ddg: iteration index for loop %d maps node %d to ordinal %d, scope chain says %v",
+					loop, u, o, want)
 			}
 		}
 	}

@@ -13,8 +13,7 @@ import (
 	"discovery/internal/mir"
 )
 
-// buildViewGraph returns a small diamond-and-chain graph with loop scopes
-// and an iteration index:
+// buildViewGraph returns a small diamond-and-chain graph with loop scopes:
 //
 //	0 (init, no loop)
 //	1,2 = loop 7 iter 0;  3,4 = loop 7 iter 1;  5 = join
@@ -34,17 +33,6 @@ func buildViewGraph(t *testing.T) *Graph {
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	keys := []IterationKey{
-		{Loop: 7, Invocation: 0, Iter: 0},
-		{Loop: 7, Invocation: 0, Iter: 1},
-	}
-	ix, err := NewLoopIterIndex(7, keys, []int32{-1, 0, 0, 1, 1, -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.InstallLoopIterIndexes([]*LoopIterIndex{ix}); err != nil {
-		t.Fatal(err)
-	}
 	return g
 }
 
@@ -55,10 +43,8 @@ func viewSig(sv *SubView) string {
 	for _, u := range members {
 		key, inLoop := sv.IterationOf(u, 7)
 		ixOrd := int32(-1)
-		if ix := sv.LoopIterIndex(7); ix != nil {
-			if o, ok := ix.OrdinalOf(u); ok {
-				ixOrd = o
-			}
+		if o, ok := sv.LoopIterIndex(7).OrdinalOf(u); ok {
+			ixOrd = o
 		}
 		s += fmt.Sprintf("%d op=%v pos=%s:%d thread=%d scope=%s iter=%v/%t ord=%d succ=%v pred=%v extS=%t extP=%t\n",
 			u, sv.Op(u), sv.Pos(u).File, sv.Pos(u).Line, sv.Thread(u), sv.ScopeOf(u).String(),

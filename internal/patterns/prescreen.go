@@ -98,6 +98,10 @@ func PrescreenSub(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *Prescreen {
 		AllAssocOneOp: true,
 	}
 	sub := g.Overlay(nodes)
+	var iters *ddg.LoopIterIndex // the grouping LoopView would build
+	if p.CompactedLoop {
+		iters = g.LoopIterIndex(loop)
+	}
 	indeg := make([]int32, p.NumNodes)
 	var scratch []ddg.NodeID
 	var firstOp mir.Op
@@ -158,9 +162,9 @@ func PrescreenSub(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *Prescreen {
 		for _, w := range scratch {
 			indeg[nodes.IndexOf(w)]++
 			if p.CompactedLoop && !p.InterGroup {
-				ku, oku := g.IterationOf(u, loop)
-				kw, okw := g.IterationOf(w, loop)
-				if !oku || !okw || ku != kw {
+				ou, oku := iters.OrdinalOf(u)
+				ow, okw := iters.OrdinalOf(w)
+				if !oku || !okw || ou != ow {
 					p.InterGroup = true
 				}
 			}

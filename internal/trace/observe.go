@@ -36,17 +36,10 @@ func (b *Builder) threadNodes() (threads []int32, counts []int) {
 // (under parent). With a nil or disabled recorder it behaves exactly like
 // Run. The returned error, if any, is also marked on the corresponding
 // span, so a failed run still yields a closed, exportable span tree.
-func RunObserved(prog *mir.Program, rec obs.Recorder, parent obs.SpanID, opts ...vm.Option) (*Result, error) {
-	return RunObservedWith(NewBuilder(), prog, rec, parent, opts...)
-}
-
-// RunObservedWith is RunObserved recording into a caller-supplied builder
-// — the seam the -no-online-compact escape hatch uses to trace through
-// NewBuilderNoCompact with the span tree intact.
-func RunObservedWith(b *Builder, prog *mir.Program, rec obs.Recorder, parent obs.SpanID, opts ...vm.Option) (res *Result, err error) {
+func RunObserved(prog *mir.Program, rec obs.Recorder, parent obs.SpanID, opts ...vm.Option) (res *Result, err error) {
 	rec = obs.OrNop(rec)
 	if !rec.Enabled() {
-		return runWith(b, prog, opts...)
+		return Run(prog, opts...)
 	}
 	root := rec.StartSpan("trace", parent, obs.Str("program", prog.Name))
 	defer func() {
@@ -65,6 +58,7 @@ func RunObservedWith(b *Builder, prog *mir.Program, rec obs.Recorder, parent obs
 		rec.EndSpan(root, attrs...)
 	}()
 
+	b := NewBuilder()
 	opts = append([]vm.Option{vm.WithTracer(b)}, opts...)
 	m, err := vm.New(prog, opts...)
 	if err != nil {
@@ -108,13 +102,6 @@ func RunObservedWith(b *Builder, prog *mir.Program, rec obs.Recorder, parent obs
 		}
 		return nil, gerr
 	}
-	loops, groups := g.IterIndexStats()
-	if loops > 0 {
-		rec.Gauge(obs.MetricTraceIterIndexes, float64(loops))
-		rec.Gauge(obs.MetricTraceIterGroups, float64(groups))
-	}
-	rec.EndSpan(fin,
-		obs.Int("graph_nodes", int64(g.NumNodes())),
-		obs.Int("iter_indexes", int64(loops)))
+	rec.EndSpan(fin, obs.Int("graph_nodes", int64(g.NumNodes())))
 	return &Result{Graph: g, Return: ret, Ops: m.Ops(), TruncatedThreads: b.Truncated()}, nil
 }

@@ -10,6 +10,7 @@ package trace_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"discovery/internal/ddg"
@@ -37,17 +38,18 @@ func stressCases() []struct {
 // fingerprint renders every per-node fact and both adjacency lists into a
 // byte-for-byte comparable string.
 func fingerprint(g *ddg.Graph) string {
-	s := fmt.Sprintf("nodes=%d arcs=%d\n", g.NumNodes(), g.NumArcs())
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "nodes=%d arcs=%d\n", g.NumNodes(), g.NumArcs())
 	for u := ddg.NodeID(0); int(u) < g.NumNodes(); u++ {
 		scope := "-"
 		if sc := g.ScopeOf(u); sc != nil {
 			scope = sc.String()
 		}
-		s += fmt.Sprintf("%d op=%v pos=%s:%d thread=%d scope=%s succ=%v pred=%v\n",
+		fmt.Fprintf(&sb, "%d op=%v pos=%s:%d thread=%d scope=%s succ=%v pred=%v\n",
 			u, g.Op(u), g.Pos(u).File, g.Pos(u).Line, g.Thread(u), scope,
 			g.Succs(u), g.Preds(u))
 	}
-	return s
+	return sb.String()
 }
 
 // TestStress8Threads traces pthreads kernels with 8 worker threads. Under
