@@ -29,7 +29,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/trace/... ./internal/ddg/... ./internal/vm/... ./internal/pagetab/... ./internal/core/... ./internal/sched/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/fault/...
+	$(GO) test -race ./internal/trace/... ./internal/ddg/... ./internal/vm/... ./internal/pagetab/... ./internal/patterns/... ./internal/core/... ./internal/sched/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/fault/...
 
 # Each target runs for FUZZTIME; Go's fuzzer accepts one -fuzz pattern per
 # package invocation, so the targets run in sequence.
@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFinalize$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPrescreen$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedCSR$$' -fuzztime $(FUZZTIME) ./internal/ddg
+	$(GO) test -run '^$$' -fuzz '^FuzzOverlayRank$$' -fuzztime $(FUZZTIME) ./internal/ddg
 
 bench:
 	GOMAXPROCS=4 $(GO) run ./cmd/experiments -run bench -bench-reps 20 -bench-scale 32

@@ -807,7 +807,7 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 		if n, ok := cache.groupCount(s.ViewHash(compact)); ok {
 			return n
 		}
-		n := s.CachedView(gs, compact).NumGroups()
+		n := s.CachedView(gs, compact, nil).NumGroups()
 		cache.storeGroupCount(s.ViewHash(compact), n)
 		return n
 	}
@@ -887,7 +887,7 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 							mu.Unlock()
 						}
 					}()
-					p := patterns.MatchPipeline(gs, a.CachedView(gs, compact), b.CachedView(gs, compact))
+					p := patterns.MatchPipeline(gs, a.CachedView(gs, compact, nil), b.CachedView(gs, compact, nil))
 					if p != nil && opts.VerifyMatches {
 						if err := patterns.Verify(gs, p); err != nil {
 							p = nil
@@ -1034,6 +1034,7 @@ type subState struct {
 
 	prepOnce sync.Once
 	skip     bool                // oversized-view gate verdict
+	sub      *ddg.SubView        // overlay of s.Nodes, shared by census and view
 	pre      *patterns.Prescreen // nil when disabled or skipped
 
 	viewOnce sync.Once
@@ -1276,9 +1277,12 @@ func (mp *matchPhase) safeTask(st *subState, slot int, b *patterns.Budget, out *
 }
 
 // prep runs the sub-DDG's once-per-sub work on the first task to arrive:
-// the oversized-view gate and the structural prescreen census.
+// the sub-DDG's overlay, the oversized-view gate and the structural
+// prescreen census. The census and the view (viewOf, which only runs
+// inside or after prep) both read the one overlay built here.
 func (mp *matchPhase) prep(st *subState) {
 	st.prepOnce.Do(func() {
+		st.sub = mp.gs.Overlay(st.s.Nodes)
 		max := mp.opts.maxViewGroups()
 		// Groups never outnumber nodes, so only a view bigger than the gate
 		// in node count can exceed it in group count — small views pass
@@ -1297,10 +1301,10 @@ func (mp *matchPhase) prep(st *subState) {
 			rec := mp.rec
 			if rec.Enabled() {
 				t0 := time.Now()
-				st.pre = patterns.PrescreenSub(mp.gs, st.s.Nodes, st.s.viewLoop(mp.compact))
+				st.pre = patterns.PrescreenSub(st.sub, st.s.viewLoop(mp.compact))
 				rec.Observe(obs.MetricPrescreenSeconds, time.Since(t0).Seconds())
 			} else {
-				st.pre = patterns.PrescreenSub(mp.gs, st.s.Nodes, st.s.viewLoop(mp.compact))
+				st.pre = patterns.PrescreenSub(st.sub, st.s.viewLoop(mp.compact))
 			}
 			mp.preChecks.Add(1)
 		}
@@ -1311,7 +1315,7 @@ func (mp *matchPhase) prep(st *subState) {
 // its group count in the cache and the size histogram.
 func (mp *matchPhase) viewOf(st *subState) *patterns.View {
 	st.viewOnce.Do(func() {
-		st.view = st.s.CachedView(mp.gs, mp.compact)
+		st.view = st.s.CachedView(mp.gs, mp.compact, st.sub)
 		n := st.view.NumGroups()
 		mp.cache.storeGroupCount(st.vhash, n)
 		if mp.rec.Enabled() {

@@ -31,6 +31,7 @@ type SubDDG struct {
 	// Matched patterns on this sub-DDG, filled by the match phase.
 	Matched []*patterns.Pattern
 
+	nhash    ddg.Hash128 // Nodes.Hash(), memoized (see setHash)
 	key      ddg.Hash128
 	vhash    ddg.Hash128
 	viewOnce sync.Once
@@ -66,7 +67,7 @@ func (s *SubDDG) Key() ddg.Hash128 {
 			s.key = h.Sum()
 		} else {
 			h := ddg.NewHasher(hashSeedPoolKey)
-			h.Hash(s.Nodes.Hash())
+			h.Hash(s.setHash())
 			h.Word(uint64(s.Loop))
 			var assoc uint64
 			if s.Assoc {
@@ -77,6 +78,15 @@ func (s *SubDDG) Key() ddg.Hash128 {
 		}
 	}
 	return s.key
+}
+
+// setHash returns Nodes.Hash(), computed once: both the pool key and the
+// view hash fold it in.
+func (s *SubDDG) setHash() ddg.Hash128 {
+	if s.nhash.IsZero() {
+		s.nhash = s.Nodes.Hash()
+	}
+	return s.nhash
 }
 
 // Kind describes the provenance for diagnostics.
@@ -95,12 +105,14 @@ func (s *SubDDG) Kind() string {
 
 // View builds the matching view of the sub-DDG (paper §5, DDG Compaction):
 // loop-derived sub-DDGs compact to one group per dynamic iteration unless
-// compaction is disabled; everything else is node-per-node.
-func (s *SubDDG) View(g ddg.GraphView, compact bool) *patterns.View {
-	if s.Loop != 0 && compact {
-		return patterns.LoopView(g, s.Nodes, s.Loop)
+// compaction is disabled; everything else is node-per-node. sub is the
+// overlay of the sub-DDG's nodes over g when the caller already holds one
+// (the match phase builds it for the prescreen census), or nil.
+func (s *SubDDG) View(g ddg.GraphView, compact bool, sub *ddg.SubView) *patterns.View {
+	if sub == nil {
+		sub = g.Overlay(s.Nodes)
 	}
-	return patterns.NodeView(g, s.Nodes)
+	return patterns.NewView(g, sub, s.viewLoop(compact))
 }
 
 // viewLoop is the grouping provenance the view would use: the sub-DDG's
@@ -118,7 +130,7 @@ func (s *SubDDG) viewLoop(compact bool) mir.LoopID {
 // never goes stale.
 func (s *SubDDG) ViewHash(compact bool) ddg.Hash128 {
 	if s.vhash.IsZero() {
-		s.vhash = patterns.ViewKey(s.Nodes, s.viewLoop(compact))
+		s.vhash = patterns.ViewKeyOf(s.setHash(), s.viewLoop(compact))
 	}
 	return s.vhash
 }
@@ -129,9 +141,10 @@ func (s *SubDDG) ViewHash(compact bool) ddg.Hash128 {
 // runs its pair solves as concurrent scheduler tasks, and one stage can
 // appear in several pairs, so two tasks may reach for the same sub-DDG's
 // view at once (the match phase additionally serializes through
-// matchPhase.viewOf, which also funnels into this memo).
-func (s *SubDDG) CachedView(g ddg.GraphView, compact bool) *patterns.View {
-	s.viewOnce.Do(func() { s.view = s.View(g, compact) })
+// matchPhase.viewOf, which also funnels into this memo). sub is as for
+// View, and unused once the memo is filled.
+func (s *SubDDG) CachedView(g ddg.GraphView, compact bool, sub *ddg.SubView) *patterns.View {
+	s.viewOnce.Do(func() { s.view = s.View(g, compact, sub) })
 	return s.view
 }
 
@@ -193,11 +206,15 @@ func Decompose(g *ddg.Graph) []*SubDDG {
 	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
 	seen := map[ddg.Hash128]bool{}
 	addAssoc := func(nodes ddg.Set) {
-		if nodes.Len() < 2 || seen[nodes.Hash()] {
+		if nodes.Len() < 2 {
 			return
 		}
-		seen[nodes.Hash()] = true
-		subs = append(subs, &SubDDG{Nodes: nodes, Assoc: true})
+		h := nodes.Hash()
+		if seen[h] {
+			return
+		}
+		seen[h] = true
+		subs = append(subs, &SubDDG{Nodes: nodes, Assoc: true, nhash: h})
 	}
 	for _, op := range ops {
 		all := ddg.NewSet(byOp[op]...)

@@ -14,53 +14,16 @@ import (
 
 // WeaklyConnectedComponents partitions the induced subgraph over nodes into
 // its weakly connected components, returned in deterministic order (by
-// smallest member id).
+// smallest member id): a rank-indexed union-find over the overlay of nodes
+// (SubView.components).
 func (g *Graph) WeaklyConnectedComponents(nodes Set) []Set {
-	if len(nodes) == 0 {
-		return nil
-	}
-	parent := make(map[NodeID]NodeID, len(nodes))
-	for _, u := range nodes {
-		parent[u] = u
-	}
-	var find func(NodeID) NodeID
-	find = func(u NodeID) NodeID {
-		for parent[u] != u {
-			parent[u] = parent[parent[u]]
-			u = parent[u]
-		}
-		return u
-	}
-	union := func(u, v NodeID) {
-		ru, rv := find(u), find(v)
-		if ru != rv {
-			parent[ru] = rv
-		}
-	}
-	for _, u := range nodes {
-		for _, v := range g.Succs(u) {
-			if _, in := parent[v]; in {
-				union(u, v)
-			}
-		}
-	}
-	groups := map[NodeID]Set{}
-	for _, u := range nodes {
-		r := find(u)
-		groups[r] = append(groups[r], u)
-	}
-	out := make([]Set, 0, len(groups))
-	for _, members := range groups {
-		out = append(out, NewSet(members...))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	return g.Overlay(nodes).components()
 }
 
 // WeaklyConnected reports whether the induced subgraph over nodes is
 // weakly connected (constraint 1d).
 func (g *Graph) WeaklyConnected(nodes Set) bool {
-	return len(nodes) <= 1 || len(g.WeaklyConnectedComponents(nodes)) == 1
+	return len(nodes) <= 1 || g.Overlay(nodes).joins(nodes)
 }
 
 // WeaklyConnectedWithInputs checks constraint (1d) under the relaxation
@@ -73,17 +36,11 @@ func (g *Graph) WeaklyConnectedWithInputs(nodes Set) bool {
 	if len(nodes) <= 1 {
 		return true
 	}
-	var preds []NodeID
+	ext := append(make([]NodeID, 0, 2*len(nodes)), nodes...)
 	for _, u := range nodes {
-		preds = append(preds, g.Preds(u)...)
+		ext = append(ext, g.Preds(u)...)
 	}
-	extended := nodes.Union(NewSet(preds...))
-	for _, comp := range g.WeaklyConnectedComponents(extended) {
-		if comp.Contains(nodes[0]) {
-			return nodes.SubsetOf(comp)
-		}
-	}
-	return false
+	return g.Overlay(sortDedup(ext)).joins(nodes)
 }
 
 // ReachableFrom returns every node reachable from any node in from

@@ -1,6 +1,7 @@
 package ddg
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -15,17 +16,14 @@ type Set []NodeID
 func NewSet(ids ...NodeID) Set {
 	s := make(Set, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:0]
-	var prev NodeID
-	for i, id := range s {
-		if i > 0 && id == prev {
-			continue
-		}
-		out = append(out, id)
-		prev = id
-	}
-	return out
+	return sortDedup(s)
+}
+
+// sortDedup sorts ids in place and drops duplicates, returning the prefix
+// that holds the set.
+func sortDedup(ids []NodeID) Set {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // Len returns the cardinality of the set.
@@ -35,15 +33,6 @@ func (s Set) Len() int { return len(s) }
 func (s Set) Contains(id NodeID) bool {
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
 	return i < len(s) && s[i] == id
-}
-
-// IndexOf returns the position of id in the sorted set, or -1 if absent.
-func (s Set) IndexOf(id NodeID) int {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
-		return i
-	}
-	return -1
 }
 
 // Union returns s ∪ t.
@@ -182,11 +171,21 @@ func (s Set) Clone() Set {
 	return out
 }
 
-// UnionAll returns the union of several sets.
+// UnionAll returns the union of several sets: one concatenation and one
+// sort, linear in the total size for the common case of sets that already
+// follow each other in id order. The result is nil for no sets and a fresh
+// (possibly empty) set otherwise.
 func UnionAll(sets ...Set) Set {
-	var out Set
-	for _, s := range sets {
-		out = out.Union(s)
+	if len(sets) == 0 {
+		return nil
 	}
-	return out
+	n := 0
+	for _, s := range sets {
+		n += len(s)
+	}
+	out := make(Set, 0, n)
+	for _, s := range sets {
+		out = append(out, s...)
+	}
+	return sortDedup(out)
 }

@@ -19,6 +19,8 @@ package patterns
 // 128-bit view hash the solve verdicts use.
 
 import (
+	"slices"
+
 	"discovery/internal/ddg"
 	"discovery/internal/mir"
 )
@@ -87,23 +89,27 @@ func (p *Prescreen) CannotMatch(k Kind) bool {
 	return p.cannot&prescreenBit(k) != 0
 }
 
-// PrescreenSub runs the census for the view of the node set under the
-// grouping provenance loop (zero = node-per-node), in one pass over the
-// overlay. Cost is O(members + member arcs); nothing of the grouping,
-// labels, or reachability structure is built.
-func PrescreenSub(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *Prescreen {
+// PrescreenSub runs the census for the view of the overlay's member set
+// under the grouping provenance loop (zero = node-per-node), in one pass
+// over the overlay. Cost is O(members + member arcs): membership and the
+// in-degree slot of an arc's head are both answered by the overlay's O(1)
+// Rank, and nothing of the grouping, labels, or reachability structure is
+// built. The caller builds the overlay (g.Overlay(nodes)), so the matching
+// view of the same sub-DDG can share it.
+func PrescreenSub(sub *ddg.SubView, loop mir.LoopID) *Prescreen {
+	nodes := sub.Nodes()
+	g := sub.Base()
 	p := &Prescreen{
 		NumNodes:      nodes.Len(),
 		CompactedLoop: loop != 0,
 		AllAssocOneOp: true,
 	}
-	sub := g.Overlay(nodes)
 	var iters *ddg.LoopIterIndex // the grouping LoopView would build
 	if p.CompactedLoop {
 		iters = g.LoopIterIndex(loop)
 	}
 	indeg := make([]int32, p.NumNodes)
-	var scratch []ddg.NodeID
+	var scratch []int // member successors of u, by rank
 	var firstOp mir.Op
 	for i, u := range nodes {
 		if p.AllAssocOneOp {
@@ -133,19 +139,10 @@ func PrescreenSub(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *Prescreen {
 		scratch = scratch[:0]
 		extOut := false
 		for _, w := range g.Succs(u) {
-			if !sub.Contains(w) {
+			if r := sub.Rank(w); r < 0 {
 				extOut = true
-				continue
-			}
-			dup := false
-			for _, x := range scratch {
-				if x == w {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				scratch = append(scratch, w)
+			} else if !slices.Contains(scratch, r) {
+				scratch = append(scratch, r)
 			}
 		}
 		if extOut {
@@ -159,11 +156,11 @@ func PrescreenSub(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *Prescreen {
 		if out == 0 {
 			p.Sinks++
 		}
-		for _, w := range scratch {
-			indeg[nodes.IndexOf(w)]++
+		for _, r := range scratch {
+			indeg[r]++
 			if p.CompactedLoop && !p.InterGroup {
 				ou, oku := iters.OrdinalOf(u)
-				ow, okw := iters.OrdinalOf(w)
+				ow, okw := iters.OrdinalOf(nodes[r])
 				if !oku || !okw || ou != ow {
 					p.InterGroup = true
 				}

@@ -82,12 +82,8 @@ func VerifyMap(g ddg.GraphView, p *Pattern) error {
 		}
 	}
 	// (2b) no arcs between components.
-	for i := range p.Comps {
-		for j := range p.Comps {
-			if i != j && len(g.ArcsBetween(p.Comps[i], p.Comps[j])) > 0 {
-				return fmt.Errorf("arc between components %d and %d", i, j)
-			}
-		}
+	if i, j, ok := crossArc(g, p.Comps); ok {
+		return fmt.Errorf("arc between components %d and %d", i, j)
 	}
 	// (2c) every component has incoming arcs.
 	for i, c := range p.Comps {
@@ -102,6 +98,44 @@ func VerifyMap(g ddg.GraphView, p *Pattern) error {
 		}
 	}
 	return nil
+}
+
+// crossArc finds an arc between two distinct components of a disjoint
+// component list, reporting the first (i, j) pair in row-major order — the
+// pair a scan of ArcsBetween(comps[i], comps[j]) over all i != j would hit
+// first — in one pass: the overlay of the union ranks each node, an owner
+// table indexed by rank names its component, and each component's member
+// successors are walked once. On a SubView the overlay keeps only the
+// view's members, so non-members are skipped exactly as ArcsBetween's
+// intersection drops them.
+func crossArc(g ddg.GraphView, comps []ddg.Set) (int, int, bool) {
+	sub := g.Overlay(ddg.UnionAll(comps...))
+	owner := make([]int32, sub.Len())
+	for c, comp := range comps {
+		for _, u := range comp {
+			if r := sub.Rank(u); r >= 0 {
+				owner[r] = int32(c)
+			}
+		}
+	}
+	for i, comp := range comps {
+		j := -1
+		for _, u := range comp {
+			if !sub.Contains(u) {
+				continue
+			}
+			sub.EachSucc(u, func(v ddg.NodeID) bool {
+				if o := int(owner[sub.Rank(v)]); o != i && (j < 0 || o < j) {
+					j = o
+				}
+				return true
+			})
+		}
+		if j >= 0 {
+			return i, j, true
+		}
+	}
+	return 0, 0, false
 }
 
 // VerifyLinearReduction checks the linear reduction constraints (3a–3f).

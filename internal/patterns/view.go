@@ -1,6 +1,8 @@
 package patterns
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,18 +21,21 @@ import (
 //
 // Only the grouping is built eagerly. Group arcs, boundary flags, and
 // labels derive lazily from a zero-copy overlay of the ambient node set
-// (ddg.SubView) the first time a matcher asks for them — a view that is
-// answered from the finder's verdict cache, or rejected by the group-count
-// gate, never touches the graph's adjacency at all. Nothing of the base
-// graph is copied either way.
+// (ddg.SubView: the one NewView was handed, or one built on first use)
+// the first time a matcher asks for them — a view that is answered from
+// the finder's verdict cache, or rejected by the group-count gate, never
+// touches the graph's adjacency at all. Nothing of the base graph is
+// copied either way.
 type View struct {
 	G       ddg.GraphView
 	Ambient ddg.Set   // the sub-DDG's nodes
 	Groups  []ddg.Set // view node -> original nodes
 
-	hash ddg.Hash128 // content hash: ViewKey(Ambient, loop)
+	loop     mir.LoopID  // grouping provenance (0 = node-per-node)
+	hash     ddg.Hash128 // content hash: ViewKey(Ambient, loop), lazy
+	hashOnce sync.Once
 
-	sub     *ddg.SubView // lazy overlay of Ambient over G
+	sub     *ddg.SubView // overlay of Ambient over G: given, or built lazily
 	subOnce sync.Once
 
 	// Lazily built group structure (ensure). Guarded by ensOnce: matchers
@@ -65,9 +70,16 @@ const hashSeedView = 0x71e3d5a9c4b8f017
 // component and a whole-graph sub-DDG over the same nodes are both
 // node-per-node) may safely share cached verdicts.
 func ViewKey(nodes ddg.Set, loop mir.LoopID) ddg.Hash128 {
+	return ViewKeyOf(nodes.Hash(), loop)
+}
+
+// ViewKeyOf is ViewKey for a node set whose Set.Hash the caller already
+// holds, so a sub-DDG that also keys its pool entry by that hash computes
+// it once. ViewKeyOf(nodes.Hash(), loop) == ViewKey(nodes, loop).
+func ViewKeyOf(nodesHash ddg.Hash128, loop mir.LoopID) ddg.Hash128 {
 	h := ddg.NewHasher(hashSeedView)
 	h.Word(uint64(loop))
-	h.Hash(nodes.Hash())
+	h.Hash(nodesHash)
 	return h.Sum()
 }
 
@@ -76,64 +88,96 @@ func ViewKey(nodes ddg.Set, loop mir.LoopID) ddg.Hash128 {
 // frame for the loop are grouped separately per node (they are rare:
 // boundary computation hoisted around the loop).
 //
-// The grouping is a bucket sort over the graph's loop-iteration index
-// (ddg.LoopIterIndex): nodes bucket by ordinal, buckets are emitted in
-// ascending ordinal order — the index's global (invocation, iteration)
-// order, which any node subset preserves — then loose nodes per-node in
-// input order.
+// The grouping is one sort over the graph's loop-iteration index
+// (ddg.LoopIterIndex): each node packs into ordinal<<32 | id, loose nodes
+// under an ordinal above every real one, and the sorted keys split into
+// groups at ordinal changes. Groups therefore come out in ascending
+// ordinal order — the index's global (invocation, iteration) order, which
+// any node subset preserves — each sorted by id, then the loose nodes
+// one per group in input order.
 func LoopView(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *View {
-	ix := g.LoopIterIndex(loop)
-	byOrd := map[int32][]ddg.NodeID{}
-	var loose []ddg.NodeID
-	for _, u := range nodes {
-		if o, ok := ix.OrdinalOf(u); ok {
-			byOrd[o] = append(byOrd[o], u)
-		} else {
-			loose = append(loose, u)
+	return &View{G: g, Ambient: nodes, Groups: loopGroups(g.LoopIterIndex(loop), nodes), loop: loop}
+}
+
+// looseOrdinal sorts nodes without an iteration of the loop after every
+// real ordinal (those are non-negative int32s); each is its own group.
+const looseOrdinal = math.MaxUint32
+
+func loopGroups(ix *ddg.LoopIterIndex, nodes ddg.Set) []ddg.Set {
+	keys := make([]uint64, len(nodes))
+	for i, u := range nodes {
+		o := uint64(looseOrdinal)
+		if ord, ok := ix.OrdinalOf(u); ok {
+			o = uint64(ord)
+		}
+		keys[i] = o<<32 | uint64(u)
+	}
+	slices.Sort(keys)
+	// One backing array; each group is a capacity-capped window of it.
+	buf := make(ddg.Set, len(keys))
+	var groups []ddg.Set
+	start := 0
+	for k, key := range keys {
+		buf[k] = ddg.NodeID(key)
+		if o := key >> 32; k+1 == len(keys) || keys[k+1]>>32 != o || o == looseOrdinal {
+			groups = append(groups, buf[start:k+1:k+1])
+			start = k + 1
 		}
 	}
-	ords := make([]int32, 0, len(byOrd))
-	for o := range byOrd {
-		ords = append(ords, o)
-	}
-	sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
-	groups := make([]ddg.Set, 0, len(ords)+len(loose))
-	for _, o := range ords {
-		groups = append(groups, ddg.NewSet(byOrd[o]...))
-	}
-	for _, u := range loose {
-		groups = append(groups, ddg.NewSet(u))
-	}
-	return &View{G: g, Ambient: nodes, Groups: groups, hash: ViewKey(nodes, loop)}
+	return groups
 }
 
 // NodeView builds the node-per-node view of a sub-DDG (associative
 // components).
 func NodeView(g ddg.GraphView, nodes ddg.Set) *View {
-	groups := make([]ddg.Set, len(nodes))
-	for i, u := range nodes {
-		groups[i] = ddg.NewSet(u)
+	buf := nodes.Clone()
+	groups := make([]ddg.Set, len(buf))
+	for i := range buf {
+		groups[i] = buf[i : i+1 : i+1]
 	}
-	return &View{G: g, Ambient: nodes, Groups: groups, hash: ViewKey(nodes, 0)}
+	return &View{G: g, Ambient: nodes, Groups: groups}
+}
+
+// NewView builds the view of the overlay's member set under the grouping
+// provenance loop — LoopView for loop != 0, NodeView otherwise — with sub
+// as the view's overlay, so a caller that built it for the prescreen
+// census does not build it twice. sub must be an overlay over g (normally
+// g.Overlay(nodes)).
+func NewView(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID) *View {
+	var v *View
+	if loop != 0 {
+		v = LoopView(g, sub.Nodes(), loop)
+	} else {
+		v = NodeView(g, sub.Nodes())
+	}
+	v.sub = sub
+	return v
 }
 
 // Hash returns the view's content hash (see ViewKey): equal hashes within
 // one graph mean identical groupings and identical match outcomes.
-func (v *View) Hash() ddg.Hash128 { return v.hash }
+// Computed on first use; the finder keys its caches by the sub-DDG's own
+// memoized hash and never needs it.
+func (v *View) Hash() ddg.Hash128 {
+	v.hashOnce.Do(func() { v.hash = ViewKey(v.Ambient, v.loop) })
+	return v.hash
+}
 
-// Sub returns the zero-copy overlay of the view's ambient set, building it
-// on first use.
+// Sub returns the zero-copy overlay of the view's ambient set: the one
+// NewView was given, or one built on first use.
 func (v *View) Sub() *ddg.SubView {
 	v.subOnce.Do(func() {
-		v.sub = v.G.Overlay(v.Ambient)
+		if v.sub == nil {
+			v.sub = v.G.Overlay(v.Ambient)
+		}
 	})
 	return v.sub
 }
 
 // ensure derives the group-level arc structure and boundary flags from the
 // overlay. Membership tests ride the overlay's bitset; the group of a
-// member node is found through its position in the sorted ambient set, so
-// the scratch state is O(|ambient|), never O(|graph|).
+// member node is found through its O(1) overlay rank, so the scratch state
+// is O(|ambient|), never O(|graph|).
 func (v *View) ensure() {
 	v.ensOnce.Do(v.build)
 }
@@ -145,22 +189,26 @@ func (v *View) build() {
 	v.indeg = make([]int, n)
 	v.extIn = make([]bool, n)
 	v.extOut = make([]bool, n)
-	// Ambient-aligned group index: gidx[i] = group of v.Ambient[i].
-	gidx := make([]int32, len(v.Ambient))
+	// Rank-aligned group index: gidx[sub.Rank(u)] = group of member u. (When
+	// G is itself a SubView, groups can hold nodes the overlay dropped.)
+	gidx := make([]int32, sub.Len())
 	for i, grp := range v.Groups {
 		for _, u := range grp {
-			gidx[v.Ambient.IndexOf(u)] = int32(i)
+			if r := sub.Rank(u); r >= 0 {
+				gidx[r] = int32(i)
+			}
 		}
 	}
 	for i, grp := range v.Groups {
 		var out []int
 		for _, u := range grp {
 			for _, w := range v.G.Succs(u) {
-				if !sub.Contains(w) {
+				r := sub.Rank(w)
+				if r < 0 {
 					v.extOut[i] = true
 					continue
 				}
-				if j := int(gidx[v.Ambient.IndexOf(w)]); j != i {
+				if j := int(gidx[r]); j != i {
 					out = append(out, j)
 				}
 			}
