@@ -5,7 +5,9 @@
 #   make fuzz    — short native-fuzzing pass over the crash-safety targets
 #   make bench   — trace + find benchmarks (BENCH_trace.json, BENCH_find.json)
 #   make benchsmoke — one-iteration find benchmark + obs overhead gate
-#   make cover   — coverage floors for internal/core and internal/obs
+#   make cover   — coverage floors for internal/{core,obs,sched,trace,ddg}
+#   make perfbench-check — vet and test the benchmark module (perfbench/
+#                  is its own Go module, so `go test ./...` skips it)
 #   make serversmoke — end-to-end daemon check: cold run, warm store hit
 #   make chaos   — fault-injection suite + chaos smoke against the binary
 #   make tracescale — out-of-core smoke: a trace 10× the bench input must
@@ -15,7 +17,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz bench findbench benchsmoke cover serversmoke chaos tracescale
+.PHONY: check build vet test race fuzz bench findbench benchsmoke cover perfbench-check serversmoke chaos tracescale
 
 check: build vet test race
 
@@ -63,6 +65,12 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFindFixpoint$$' -benchtime=1x .
 	$(GO) test -run '^TestPrescreenSkipRateExported$$' -count=1 .
 	OBS_OVERHEAD=1 $(GO) test -run '^TestNopRecorderOverhead$$' .
+
+# The repo benchmark lives in its own module (perfbench/go.mod, replacing
+# discovery with ../), so the root `go test ./...` never compiles it; this
+# catches an API change to the packages it drives before the benchmark does.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Build and drive the real daemon binary: cold run computes and stores,
 # the identical resubmission must be a store hit with zero solver runs.

@@ -108,11 +108,11 @@ func (s *SubDDG) Kind() string {
 // compaction is disabled; everything else is node-per-node. sub is the
 // overlay of the sub-DDG's nodes over g when the caller already holds one
 // (the match phase builds it for the prescreen census), or nil.
-func (s *SubDDG) View(g ddg.GraphView, compact bool, sub *ddg.SubView) *patterns.View {
+func (s *SubDDG) View(g *ddg.Graph, compact bool, sub *ddg.SubView) *patterns.View {
 	if sub == nil {
 		sub = g.Overlay(s.Nodes)
 	}
-	return patterns.NewView(g, sub, s.viewLoop(compact))
+	return patterns.NewView(sub, s.viewLoop(compact))
 }
 
 // viewLoop is the grouping provenance the view would use: the sub-DDG's
@@ -143,7 +143,7 @@ func (s *SubDDG) ViewHash(compact bool) ddg.Hash128 {
 // view at once (the match phase additionally serializes through
 // matchPhase.viewOf, which also funnels into this memo). sub is as for
 // View, and unused once the memo is filled.
-func (s *SubDDG) CachedView(g ddg.GraphView, compact bool, sub *ddg.SubView) *patterns.View {
+func (s *SubDDG) CachedView(g *ddg.Graph, compact bool, sub *ddg.SubView) *patterns.View {
 	s.viewOnce.Do(func() { s.view = s.View(g, compact, sub) })
 	return s.view
 }

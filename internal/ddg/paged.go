@@ -8,9 +8,10 @@ package ddg
 // locate a node's segment by binary search over segment start nodes,
 // fault the segment in if needed, and slice the resident buffer exactly
 // as the in-core path slices the flat array. Everything above the
-// GraphView surface (SubView, matchers, prescreen, invariant checks)
-// runs unmodified and byte-identically: paging changes where bytes live,
-// never which bytes a read returns.
+// graph's Succs/Preds (the algo.go analyses, the SubView membership
+// overlay, matchers, prescreen, invariant checks) runs unmodified and
+// byte-identically: paging changes where bytes live, never which bytes a
+// read returns.
 //
 // Residency policy: least-recently-used eviction under a byte budget,
 // with the densest segments (most arcs per node — high-fan-out hubs such

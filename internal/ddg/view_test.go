@@ -27,110 +27,71 @@ func TestSubViewMembershipAndArcs(t *testing.T) {
 	if sv.Len() != 3 {
 		t.Errorf("Len = %d, want 3", sv.Len())
 	}
-	// NumNodes stays the base id space so position-indexed algorithms work.
-	if sv.NumNodes() != g.NumNodes() {
-		t.Errorf("NumNodes = %d, want base %d", sv.NumNodes(), g.NumNodes())
+	if sv.Base() != g {
+		t.Error("Base must be the overlaid graph")
 	}
-	for _, u := range []NodeID{0, 1, 2} {
+	for r, u := range []NodeID{0, 1, 2} {
 		if !sv.Contains(u) {
 			t.Errorf("Contains(%d) = false", u)
+		}
+		if got := sv.Rank(u); got != r {
+			t.Errorf("Rank(%d) = %d, want %d", u, got, r)
 		}
 	}
 	for _, u := range []NodeID{3, 4} {
 		if sv.Contains(u) {
 			t.Errorf("Contains(%d) = true", u)
 		}
+		if got := sv.Rank(u); got != -1 {
+			t.Errorf("Rank(%d) = %d, want -1", u, got)
+		}
 	}
 
 	// Member arcs: 0->1, 1->2. The arcs 2->3 and 1->4 are filtered out.
-	if n := sv.NumArcs(); n != 2 {
-		t.Errorf("NumArcs = %d, want 2", n)
+	succs := func(u NodeID) []NodeID {
+		var out []NodeID
+		sv.EachSucc(u, func(v NodeID) bool { out = append(out, v); return true })
+		return out
 	}
-	if succs := sv.Succs(1); len(succs) != 1 || succs[0] != 2 {
-		t.Errorf("Succs(1) = %v, want [2]", succs)
+	if got := succs(1); len(got) != 1 || got[0] != 2 {
+		t.Errorf("member successors of 1 = %v, want [2]", got)
 	}
-	if preds := sv.Preds(2); len(preds) != 1 || preds[0] != 1 {
-		t.Errorf("Preds(2) = %v, want [1]", preds)
+	if got := succs(2); len(got) != 0 {
+		t.Errorf("member successors of 2 = %v, want none", got)
 	}
-
-	// Boundary probes see through to the base.
-	if !sv.HasExternalSucc(2) {
-		t.Error("2 has the external successor 3")
-	}
-	if !sv.HasExternalSucc(1) {
-		t.Error("1 has the external successor 4")
-	}
-	if sv.HasExternalSucc(0) {
-		t.Error("0 has no external successor")
-	}
-	if sv.HasExternalPred(0) {
-		t.Error("0 has no external predecessor")
+	// EachSucc stops when fn returns false.
+	calls := 0
+	g.Overlay(NewSet(1, 2, 4)).EachSucc(1, func(NodeID) bool { calls++; return false })
+	if calls != 1 {
+		t.Errorf("EachSucc called fn %d times after a false return, want 1", calls)
 	}
 }
 
-func TestSubViewReachesThroughMembersOnly(t *testing.T) {
-	g := viewTestGraph()
-
-	full := g.Overlay(NewSet(0, 1, 2, 3))
-	if !full.Reaches(0, 3) {
-		t.Error("0 ->* 3 through members 0,1,2,3")
-	}
-	// Drop the middle of the chain: reachability must break.
-	holed := g.Overlay(NewSet(0, 1, 3))
-	if holed.Reaches(0, 3) {
-		t.Error("0 must not reach 3 when 2 is not a member")
-	}
-	// Endpoints outside the member set never reach.
-	if full.Reaches(0, 4) {
-		t.Error("non-member target must not be reachable")
-	}
-	if !full.Reaches(1, 1) {
-		t.Error("a member reaches itself")
-	}
-}
-
-func TestSubViewOverlayIntersects(t *testing.T) {
-	g := viewTestGraph()
-	outer := g.Overlay(NewSet(0, 1, 2, 3))
-	inner := outer.Overlay(NewSet(2, 3, 4)) // 4 is outside the outer view
-	if inner.Len() != 2 || !inner.Contains(2) || !inner.Contains(3) || inner.Contains(4) {
-		t.Errorf("nested overlay must intersect: members %v", inner.Nodes())
-	}
-	if inner.Base() != g {
-		t.Error("nested overlay must stay backed by the base graph")
-	}
-}
-
+// TestSubViewAnalysesRestrict pins the analyses the overlay backs: the
+// weak-connectivity family runs its union-find over member arcs only.
 func TestSubViewAnalysesRestrict(t *testing.T) {
 	g := viewTestGraph()
 	sv := g.Overlay(NewSet(0, 1, 2, 4))
 
-	// Weak connectivity under member arcs: {0,1,2,4} is connected through
-	// 1; {0,2} alone is not (the connecting node 1 is excluded from the
-	// queried set).
-	if !sv.WeaklyConnected(NewSet(0, 1, 2, 4)) {
-		t.Error("member set is weakly connected")
+	// {0,1,2,4} is connected through 1; {0,2} alone is not (the
+	// connecting node 1 is not a member).
+	if comps := sv.components(); len(comps) != 1 || !comps[0].Equal(sv.Nodes()) {
+		t.Errorf("components = %v, want the one member set", comps)
 	}
-	if sv.WeaklyConnected(NewSet(0, 2)) {
+	if !sv.joins(NewSet(0, 4)) {
+		t.Error("0 and 4 join through the member 1")
+	}
+	if g.WeaklyConnected(NewSet(0, 2)) {
 		t.Error("{0,2} is not connected without 1")
 	}
-	// WeaklyConnectedWithInputs allows the shared predecessor 1 to join
-	// {2,4}.
-	if !sv.WeaklyConnectedWithInputs(NewSet(2, 4)) {
-		t.Error("{2,4} share the member predecessor 1")
+	if comps := g.WeaklyConnectedComponents(NewSet(0, 2, 3)); len(comps) != 2 {
+		t.Errorf("WCC({0,2,3}) = %v, want {0} and {2,3}", comps)
 	}
-
-	// External-in/out default the ambient to the member set.
-	if !sv.HasExternalIn(NewSet(2, 4), nil) {
-		t.Error("{2,4} has in-arcs from member 1")
+	// WeaklyConnectedWithInputs lets the shared predecessor 1 join {2,4}.
+	if !g.WeaklyConnectedWithInputs(NewSet(2, 4)) {
+		t.Error("{2,4} share the predecessor 1")
 	}
-	if sv.HasExternalOut(NewSet(2, 4), nil) {
-		t.Error("{2,4} has no member out-arcs (3 is not a member)")
-	}
-
-	// ArcsBetween filters to member arcs.
-	arcs := sv.ArcsBetween(NewSet(1), NewSet(2, 3, 4))
-	if len(arcs) != 2 {
-		t.Errorf("ArcsBetween(1, {2,3,4}) = %v, want the two member arcs", arcs)
+	if g.WeaklyConnectedWithInputs(NewSet(0, 3)) {
+		t.Error("{0,3} share no predecessor")
 	}
 }

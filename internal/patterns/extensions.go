@@ -43,7 +43,7 @@ var extensionKindNames = map[Kind]kindName{}
 
 // MatchStencil refines a matched (plain) map into a stencil, or returns
 // nil if the map has no overlapping-neighbourhood structure.
-func MatchStencil(g ddg.GraphView, m *Pattern) *Pattern {
+func MatchStencil(g *ddg.Graph, m *Pattern) *Pattern {
 	if m == nil || m.Kind != KindMap || len(m.Comps) < 3 {
 		return nil
 	}

@@ -19,7 +19,7 @@ import (
 // refLoopGroups is the map-bucket reference for LoopView's grouping:
 // nodes bucket by iteration ordinal, buckets are emitted in ascending
 // ordinal order, then loose nodes one per group in input order.
-func refLoopGroups(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) []ddg.Set {
+func refLoopGroups(g *ddg.Graph, nodes ddg.Set, loop mir.LoopID) []ddg.Set {
 	ix := g.LoopIterIndex(loop)
 	byOrd := map[int32][]ddg.NodeID{}
 	var loose []ddg.NodeID
@@ -47,7 +47,7 @@ func refLoopGroups(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) []ddg.Set {
 
 // refVerifyMap is VerifyMap with constraint (2b) checked by the pairwise
 // ArcsBetween scan it replaced.
-func refVerifyMap(g ddg.GraphView, p *Pattern) error {
+func refVerifyMap(g *ddg.Graph, p *Pattern) error {
 	if !p.Kind.IsMapKind() {
 		return fmt.Errorf("not a map kind: %v", p.Kind)
 	}
@@ -141,7 +141,7 @@ func TestLoopViewMatchesMapBucketReference(t *testing.T) {
 				}
 			}
 			// NewView over a prebuilt overlay groups identically.
-			if w := NewView(g, g.Overlay(nodes), loop); len(w.Groups) != len(want) {
+			if w := NewView(g.Overlay(nodes), loop); len(w.Groups) != len(want) {
 				t.Fatalf("seed %d loop %d: NewView has %d groups, want %d", seed, loop, len(w.Groups), len(want))
 			}
 		}
@@ -161,7 +161,7 @@ func TestLoopViewGroupsAreCapped(t *testing.T) {
 
 // checkVerifyMap compares VerifyMap's verdict and error text with the
 // pairwise reference, and reports whether the reference failed at (2b).
-func checkVerifyMap(t *testing.T, name string, g ddg.GraphView, p *Pattern) bool {
+func checkVerifyMap(t *testing.T, name string, g *ddg.Graph, p *Pattern) bool {
 	t.Helper()
 	want := refVerifyMap(g, p)
 	got := VerifyMap(g, p)
@@ -189,15 +189,12 @@ func TestVerifyMapCrossArcsMatchPairwiseReference(t *testing.T) {
 		if checkVerifyMap(t, fmt.Sprintf("map seed %d", seed), g, p) {
 			hits++
 		}
-		// The same pattern on a SubView of the graph.
-		checkVerifyMap(t, fmt.Sprintf("map seed %d (subview)", seed), g.Overlay(g.Nodes()), p)
 	}
 	// Random graphs: small components over a contiguous id
 	// range (contiguous, so the union is convex), assigned to components
 	// out of id order so cross arcs run in every direction between
-	// component indexes. On a SubView a random part of the range is not a
-	// member, so components include non-members.
-	for seed := uint64(100); seed <= 400; seed++ {
+	// component indexes.
+	for seed := uint64(100); seed <= 800; seed++ {
 		r := &prng{s: seed | 1}
 		n := 8 + r.intn(200)
 		g := scopedDAG(r, n)
@@ -223,15 +220,6 @@ func TestVerifyMapCrossArcsMatchPairwiseReference(t *testing.T) {
 		}
 		p := &Pattern{Kind: KindConditionalMap, Comps: comps, NumFull: 1 + r.intn(len(comps))}
 		if checkVerifyMap(t, fmt.Sprintf("random seed %d", seed), g, p) {
-			hits++
-		}
-		var members []ddg.NodeID
-		for u := 0; u < n; u++ {
-			if r.intn(4) != 0 {
-				members = append(members, ddg.NodeID(u))
-			}
-		}
-		if checkVerifyMap(t, fmt.Sprintf("random seed %d (subview)", seed), g.Overlay(ddg.NewSet(members...)), p) {
 			hits++
 		}
 	}

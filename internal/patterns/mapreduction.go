@@ -14,7 +14,7 @@ import (
 
 // succsOutside returns the distinct successors of comp's nodes that are
 // not in comp itself.
-func succsOutside(g ddg.GraphView, comp ddg.Set) ddg.Set {
+func succsOutside(g *ddg.Graph, comp ddg.Set) ddg.Set {
 	var out []ddg.NodeID
 	for _, u := range comp {
 		for _, v := range g.Succs(u) {
@@ -32,7 +32,7 @@ func succsOutside(g ddg.GraphView, comp ddg.Set) ddg.Set {
 // the paper's "output ... only taken as input by its corresponding
 // component" interface constraint. found=false if the producer feeds
 // nothing, several consumers, or anything outside the consumers.
-func feedsExactlyOne(g ddg.GraphView, producer ddg.Set, consumers []ddg.Set) (int, bool) {
+func feedsExactlyOne(g *ddg.Graph, producer ddg.Set, consumers []ddg.Set) (int, bool) {
 	succs := succsOutside(g, producer)
 	if len(succs) == 0 {
 		return 0, false
@@ -63,7 +63,7 @@ func feedsExactlyOne(g ddg.GraphView, producer ddg.Set, consumers []ddg.Set) (in
 // rejected (the ray-rot limitation of §6.1): the two maps must have the
 // same number of components, and each output-producing a-component must
 // feed exactly one b-component, injectively.
-func MatchFusedMap(g ddg.GraphView, a, b *Pattern) *Pattern {
+func MatchFusedMap(g *ddg.Graph, a, b *Pattern) *Pattern {
 	if !a.Kind.IsMapKind() || !b.Kind.IsMapKind() {
 		return nil
 	}
@@ -142,7 +142,7 @@ func (p *Pattern) numFull() int {
 // MatchLinearMapReduction fuses a map m and a linear reduction r into a
 // linear map-reduction (paper §4.4): each map component produces an output
 // taken only by its corresponding reduction component.
-func MatchLinearMapReduction(g ddg.GraphView, m, r *Pattern) *Pattern {
+func MatchLinearMapReduction(g *ddg.Graph, m, r *Pattern) *Pattern {
 	if !m.Kind.IsMapKind() || r.Kind != KindLinearReduction {
 		return nil
 	}
@@ -168,7 +168,7 @@ func MatchLinearMapReduction(g ddg.GraphView, m, r *Pattern) *Pattern {
 // MatchTiledMapReduction fuses a map m and a tiled reduction tr into a
 // tiled map-reduction (paper §4.4): each map component's output is taken
 // only by its corresponding partial reduction component.
-func MatchTiledMapReduction(g ddg.GraphView, m, tr *Pattern) *Pattern {
+func MatchTiledMapReduction(g *ddg.Graph, m, tr *Pattern) *Pattern {
 	if !m.Kind.IsMapKind() || tr.Kind != KindTiledReduction {
 		return nil
 	}

@@ -197,7 +197,7 @@ func chainLen(partials [][]ddg.Set) int {
 
 // Positions returns the distinct source positions covered by the pattern,
 // sorted, for reporting.
-func (p *Pattern) Positions(g ddg.GraphView) []mir.Pos {
+func (p *Pattern) Positions(g *ddg.Graph) []mir.Pos {
 	seen := map[mir.Pos]bool{}
 	for _, u := range p.Nodes() {
 		seen[g.Pos(u)] = true
@@ -218,7 +218,7 @@ func (p *Pattern) Positions(g ddg.GraphView) []mir.Pos {
 // OpsSummary returns the distinct operation mnemonics in the pattern,
 // sorted — the annotation shown in the paper's Figure 6 reports
 // (e.g. "tiled_map_reduction fadd,fmul").
-func (p *Pattern) OpsSummary(g ddg.GraphView) string {
+func (p *Pattern) OpsSummary(g *ddg.Graph) string {
 	seen := map[string]bool{}
 	for _, u := range p.Nodes() {
 		seen[g.Op(u).String()] = true

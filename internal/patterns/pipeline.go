@@ -27,7 +27,7 @@ func init() {
 
 // MatchPipeline reports the pipeline formed by stage view a feeding stage
 // view b, or nil. Both views must be loop views of the candidate stages.
-func MatchPipeline(g ddg.GraphView, a, b *View) *Pattern {
+func MatchPipeline(g *ddg.Graph, a, b *View) *Pattern {
 	n := a.NumGroups()
 	if n < 2 || b.NumGroups() != n {
 		return nil // stages process the same item stream

@@ -15,7 +15,7 @@ import (
 // VerifyPattern checks constraints (1a–1e) for the component sequence:
 // disjointness, label isomorphism (exact multiset + internal arc count),
 // weak connectivity, and convexity within the whole graph.
-func VerifyPattern(g ddg.GraphView, comps []ddg.Set) error {
+func VerifyPattern(g *ddg.Graph, comps []ddg.Set) error {
 	if len(comps) == 0 {
 		return fmt.Errorf("pattern has no components")
 	}
@@ -45,7 +45,7 @@ func VerifyPattern(g ddg.GraphView, comps []ddg.Set) error {
 
 // verifyIsomorphic checks (1c) for a set of components with the exact
 // operation-multiset + internal-arc-count proxy for labeled isomorphism.
-func verifyIsomorphic(g ddg.GraphView, comps []ddg.Set) error {
+func verifyIsomorphic(g *ddg.Graph, comps []ddg.Set) error {
 	ref := g.LabelKey(comps[0])
 	refArcs := len(g.ArcsBetween(comps[0], comps[0]))
 	for i, c := range comps[1:] {
@@ -62,7 +62,7 @@ func verifyIsomorphic(g ddg.GraphView, comps []ddg.Set) error {
 // VerifyMap checks the map constraints (2a–2d). For conditional maps only
 // the first numFull components are required to produce output, and only
 // they participate in the isomorphism check.
-func VerifyMap(g ddg.GraphView, p *Pattern) error {
+func VerifyMap(g *ddg.Graph, p *Pattern) error {
 	if !p.Kind.IsMapKind() {
 		return fmt.Errorf("not a map kind: %v", p.Kind)
 	}
@@ -105,25 +105,18 @@ func VerifyMap(g ddg.GraphView, p *Pattern) error {
 // pair a scan of ArcsBetween(comps[i], comps[j]) over all i != j would hit
 // first — in one pass: the overlay of the union ranks each node, an owner
 // table indexed by rank names its component, and each component's member
-// successors are walked once. On a SubView the overlay keeps only the
-// view's members, so non-members are skipped exactly as ArcsBetween's
-// intersection drops them.
-func crossArc(g ddg.GraphView, comps []ddg.Set) (int, int, bool) {
+// successors are walked once.
+func crossArc(g *ddg.Graph, comps []ddg.Set) (int, int, bool) {
 	sub := g.Overlay(ddg.UnionAll(comps...))
 	owner := make([]int32, sub.Len())
 	for c, comp := range comps {
 		for _, u := range comp {
-			if r := sub.Rank(u); r >= 0 {
-				owner[r] = int32(c)
-			}
+			owner[sub.Rank(u)] = int32(c)
 		}
 	}
 	for i, comp := range comps {
 		j := -1
 		for _, u := range comp {
-			if !sub.Contains(u) {
-				continue
-			}
 			sub.EachSucc(u, func(v ddg.NodeID) bool {
 				if o := int(owner[sub.Rank(v)]); o != i && (j < 0 || o < j) {
 					j = o
@@ -139,14 +132,14 @@ func crossArc(g ddg.GraphView, comps []ddg.Set) (int, int, bool) {
 }
 
 // VerifyLinearReduction checks the linear reduction constraints (3a–3f).
-func VerifyLinearReduction(g ddg.GraphView, p *Pattern) error {
+func VerifyLinearReduction(g *ddg.Graph, p *Pattern) error {
 	if p.Kind != KindLinearReduction {
 		return fmt.Errorf("not a linear reduction: %v", p.Kind)
 	}
 	return verifyChain(g, p.Comps)
 }
 
-func verifyChain(g ddg.GraphView, comps []ddg.Set) error {
+func verifyChain(g *ddg.Graph, comps []ddg.Set) error {
 	if err := VerifyPattern(g, comps); err != nil {
 		return err
 	}
@@ -195,7 +188,7 @@ func verifyChain(g ddg.GraphView, comps []ddg.Set) error {
 }
 
 // VerifyTiledReduction checks the tiled reduction constraints (4a–4e).
-func VerifyTiledReduction(g ddg.GraphView, p *Pattern) error {
+func VerifyTiledReduction(g *ddg.Graph, p *Pattern) error {
 	if p.Kind != KindTiledReduction {
 		return fmt.Errorf("not a tiled reduction: %v", p.Kind)
 	}
@@ -268,7 +261,7 @@ func VerifyTiledReduction(g ddg.GraphView, p *Pattern) error {
 
 // VerifyMapReduction checks the §4.4 interface between the map and
 // reduction constituents of a (linear or tiled) map-reduction.
-func VerifyMapReduction(g ddg.GraphView, p *Pattern) error {
+func VerifyMapReduction(g *ddg.Graph, p *Pattern) error {
 	if p.Kind != KindLinearMapReduction && p.Kind != KindTiledMapReduction {
 		return fmt.Errorf("not a map-reduction: %v", p.Kind)
 	}
@@ -307,7 +300,7 @@ func VerifyMapReduction(g ddg.GraphView, p *Pattern) error {
 // VerifyTreeReduction checks the extension tree-reduction shape: single
 // associative components forming an in-tree whose leaves take elements
 // and whose root produces the result.
-func VerifyTreeReduction(g ddg.GraphView, p *Pattern) error {
+func VerifyTreeReduction(g *ddg.Graph, p *Pattern) error {
 	if p.Kind != KindTreeReduction {
 		return fmt.Errorf("not a tree reduction: %v", p.Kind)
 	}
@@ -348,7 +341,7 @@ func VerifyTreeReduction(g ddg.GraphView, p *Pattern) error {
 }
 
 // Verify dispatches to the appropriate definitional verifier.
-func Verify(g ddg.GraphView, p *Pattern) error {
+func Verify(g *ddg.Graph, p *Pattern) error {
 	switch p.Kind {
 	case KindMap, KindConditionalMap, KindFusedMap, KindStencil:
 		return VerifyMap(g, p)

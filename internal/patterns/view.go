@@ -19,15 +19,17 @@ import (
 // work-split Pthreads loop and its sequential counterpart present identical
 // views. Associative-component sub-DDGs are viewed node-per-node.
 //
-// Only the grouping is built eagerly. Group arcs, boundary flags, and
-// labels derive lazily from a zero-copy overlay of the ambient node set
-// (ddg.SubView: the one NewView was handed, or one built on first use)
-// the first time a matcher asks for them — a view that is answered from
+// G is the whole frozen DDG, the one graph type every matcher reads; the
+// sub-DDG is only its node set, Ambient. Only the grouping is built
+// eagerly. Group arcs, boundary flags, and labels derive lazily the first
+// time a matcher asks for them, from G's adjacency filtered through a
+// zero-copy membership overlay of Ambient (ddg.SubView: the one NewView
+// was handed, or one built on first use) — a view that is answered from
 // the finder's verdict cache, or rejected by the group-count gate, never
-// touches the graph's adjacency at all. Nothing of the base graph is
-// copied either way.
+// touches the graph's adjacency at all. Nothing of the graph is copied
+// either way.
 type View struct {
-	G       ddg.GraphView
+	G       *ddg.Graph
 	Ambient ddg.Set   // the sub-DDG's nodes
 	Groups  []ddg.Set // view node -> original nodes
 
@@ -95,7 +97,7 @@ func ViewKeyOf(nodesHash ddg.Hash128, loop mir.LoopID) ddg.Hash128 {
 // ordinal order — the index's global (invocation, iteration) order, which
 // any node subset preserves — each sorted by id, then the loose nodes
 // one per group in input order.
-func LoopView(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *View {
+func LoopView(g *ddg.Graph, nodes ddg.Set, loop mir.LoopID) *View {
 	return &View{G: g, Ambient: nodes, Groups: loopGroups(g.LoopIterIndex(loop), nodes), loop: loop}
 }
 
@@ -129,7 +131,7 @@ func loopGroups(ix *ddg.LoopIterIndex, nodes ddg.Set) []ddg.Set {
 
 // NodeView builds the node-per-node view of a sub-DDG (associative
 // components).
-func NodeView(g ddg.GraphView, nodes ddg.Set) *View {
+func NodeView(g *ddg.Graph, nodes ddg.Set) *View {
 	buf := nodes.Clone()
 	groups := make([]ddg.Set, len(buf))
 	for i := range buf {
@@ -138,17 +140,16 @@ func NodeView(g ddg.GraphView, nodes ddg.Set) *View {
 	return &View{G: g, Ambient: nodes, Groups: groups}
 }
 
-// NewView builds the view of the overlay's member set under the grouping
-// provenance loop — LoopView for loop != 0, NodeView otherwise — with sub
-// as the view's overlay, so a caller that built it for the prescreen
-// census does not build it twice. sub must be an overlay over g (normally
-// g.Overlay(nodes)).
-func NewView(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID) *View {
+// NewView builds the view of the overlay's member set over its base graph
+// under the grouping provenance loop — LoopView for loop != 0, NodeView
+// otherwise — with sub as the view's overlay, so a caller that built it
+// for the prescreen census does not build it twice.
+func NewView(sub *ddg.SubView, loop mir.LoopID) *View {
 	var v *View
 	if loop != 0 {
-		v = LoopView(g, sub.Nodes(), loop)
+		v = LoopView(sub.Base(), sub.Nodes(), loop)
 	} else {
-		v = NodeView(g, sub.Nodes())
+		v = NodeView(sub.Base(), sub.Nodes())
 	}
 	v.sub = sub
 	return v
@@ -189,14 +190,11 @@ func (v *View) build() {
 	v.indeg = make([]int, n)
 	v.extIn = make([]bool, n)
 	v.extOut = make([]bool, n)
-	// Rank-aligned group index: gidx[sub.Rank(u)] = group of member u. (When
-	// G is itself a SubView, groups can hold nodes the overlay dropped.)
+	// Rank-aligned group index: gidx[sub.Rank(u)] = group of member u.
 	gidx := make([]int32, sub.Len())
 	for i, grp := range v.Groups {
 		for _, u := range grp {
-			if r := sub.Rank(u); r >= 0 {
-				gidx[r] = int32(i)
-			}
+			gidx[sub.Rank(u)] = int32(i)
 		}
 	}
 	for i, grp := range v.Groups {

@@ -52,7 +52,7 @@ func groupsKey(groups []ddg.Set) string {
 // from the scope chains alone: one group per (invocation, iteration) in
 // ascending order, then every node outside the loop on its own, in input
 // order.
-func referenceGroups(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) []ddg.Set {
+func referenceGroups(g *ddg.Graph, nodes ddg.Set, loop mir.LoopID) []ddg.Set {
 	byIter := map[ddg.IterationKey][]ddg.NodeID{}
 	var keys []ddg.IterationKey
 	var loose []ddg.NodeID
