@@ -3,21 +3,20 @@
 #   make check   — everything below in sequence (the tier-1 gate + races)
 #   make race    — race-detector pass over the concurrency-bearing packages
 #   make fuzz    — short native-fuzzing pass over the crash-safety targets
-#   make bench   — trace + find benchmarks (BENCH_trace.json, BENCH_find.json)
 #   make benchsmoke — one-iteration find benchmark + obs overhead gate
 #   make cover   — coverage floors for internal/{core,obs,sched,trace,ddg}
 #   make perfbench-check — vet and test the benchmark module (perfbench/
 #                  is its own Go module, so `go test ./...` skips it)
 #   make serversmoke — end-to-end daemon check: cold run, warm store hit
 #   make chaos   — fault-injection suite + chaos smoke against the binary
-#   make tracescale — out-of-core smoke: a trace 10× the bench input must
-#                  spill, page under the budget, and export the
-#                  discovery_ddg_pages_* metrics
+#
+# The repo benchmark is `bash perfbench/run.sh`; its workloads and metrics
+# are declared in BENCHMARK.json.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz bench findbench benchsmoke cover perfbench-check serversmoke chaos tracescale
+.PHONY: check build vet test race fuzz benchsmoke cover perfbench-check serversmoke chaos
 
 check: build vet test race
 
@@ -43,16 +42,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPrescreen$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedCSR$$' -fuzztime $(FUZZTIME) ./internal/ddg
 	$(GO) test -run '^$$' -fuzz '^FuzzOverlayRank$$' -fuzztime $(FUZZTIME) ./internal/ddg
-
-bench:
-	GOMAXPROCS=4 $(GO) run ./cmd/experiments -run bench -bench-reps 20 -bench-scale 32
-
-# The find benchmark alone, in its own process at the machine's native
-# GOMAXPROCS: the trace bench needs 4 threads for its speedup table, but
-# its heap and the forced oversubscription only add variance to the find
-# fixpoint timings (this regenerates BENCH_find.json).
-findbench:
-	$(GO) run ./cmd/experiments -run findbench -find-reps 41
 
 # One timed iteration of the find fixpoint benchmark: catches bit-rot in
 # the benchmark itself without the cost of a real measurement run. The
@@ -85,13 +74,6 @@ chaos:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/store/
 	$(GO) test -race -count=1 -run Chaos ./internal/server/
 	sh scripts/chaossmoke.sh
-
-# The out-of-core smoke gate: trace md5 at 4× and 40× the stress input
-# under a 256 KiB arc-byte budget; the large trace must spill, fault its
-# way through a full adjacency sweep, keep peak resident bytes inside the
-# budget headroom, and export it all as discovery_ddg_pages_* metrics.
-tracescale:
-	$(GO) run ./cmd/experiments -run tracescale -tracescale-scales 4,40 -tracescale-budget 262144 -tracescale-smoke
 
 # Coverage floors. The thresholds sit a few points under the levels the
 # suite reaches at the time of writing (core 95%, obs 92%, sched 94%,

@@ -370,10 +370,16 @@ func scaleParams(b *starbench.Benchmark, factor int64) starbench.Params {
 }
 
 // RunFigure7 measures pattern finding time across a ladder of input
-// scales. Factors are per-benchmark powers of two.
+// scales. Factors are per-benchmark powers of two; a factor below 1 would
+// build an empty input, so it is rejected before anything runs.
 func RunFigure7(opts core.Options, factors []int64) (*Figure7Result, error) {
 	if len(factors) == 0 {
 		factors = []int64{1, 2, 4}
+	}
+	for _, f := range factors {
+		if f < 1 {
+			return nil, fmt.Errorf("figure7: scale factor %d is below 1", f)
+		}
 	}
 	out := &Figure7Result{}
 	for _, b := range starbench.All() {

@@ -89,6 +89,18 @@ func TestFigure7SmallLadder(t *testing.T) {
 	}
 }
 
+// TestFigure7RejectsFactorBelowOne: a factor of 0 would build a program
+// with a zero-sized static and panic in the IR validator; RunFigure7 must
+// refuse it with an error instead.
+func TestFigure7RejectsFactorBelowOne(t *testing.T) {
+	for _, f := range []int64{0, -2} {
+		res, err := RunFigure7(fastOpts(), []int64{1, f})
+		if err == nil || res != nil {
+			t.Errorf("factor %d: got result %v, err %v; want an error", f, res, err)
+		}
+	}
+}
+
 func TestPhases(t *testing.T) {
 	res, err := RunPhases(fastOpts())
 	if err != nil {

@@ -201,36 +201,3 @@ func TestCompactionIndexedViewsOnSpilledGraph(t *testing.T) {
 		})
 	}
 }
-
-// TestCanonicalizeGroupsIdentically: a graph rebuilt by Canonicalize
-// derives its own iteration indexes, and they group every loop exactly as
-// the traced graph's do.
-func TestCanonicalizeGroupsIdentically(t *testing.T) {
-	b := starbench.ByName("md5")
-	built := b.Build(starbench.Pthreads, starbench.Params{"nbuf": 8, "bufwords": 4, "nproc": 8})
-	res, err := trace.Run(built.Prog, vm.WithMaxOps(1<<24))
-	if err != nil {
-		t.Fatalf("trace.Run: %v", err)
-	}
-	canon, err := trace.Canonicalize(res.Graph)
-	if err != nil {
-		t.Fatalf("Canonicalize: %v", err)
-	}
-	if fingerprint(canon) != fingerprint(res.Graph) {
-		t.Fatal("canonicalized graph differs from its source")
-	}
-	loops := loopsOf(res.Graph)
-	if len(loops) == 0 {
-		t.Fatal("md5 trace has no loops")
-	}
-	for _, loop := range loops {
-		nodes := res.Graph.Nodes()
-		got := groupsKey(patterns.LoopView(canon, nodes, loop).Groups)
-		if want := groupsKey(patterns.LoopView(res.Graph, nodes, loop).Groups); got != want {
-			t.Fatalf("loop %d: canonicalized graph groups differently:\ngot:\n%swant:\n%s", loop, got, want)
-		}
-	}
-	if err := canon.CheckInvariants(); err != nil {
-		t.Fatalf("canonicalized graph fails invariants: %v", err)
-	}
-}

@@ -2,7 +2,7 @@ package trace
 
 // Failure-path tests for finalization and truncation: malformed buffers
 // come back as typed errors, truncated traces degrade to consistent
-// prefix graphs, and foreign graphs are rejected by Canonicalize.
+// prefix graphs.
 
 import (
 	"errors"
@@ -131,21 +131,4 @@ func TestCompleteTraceHasNoDiagnostic(t *testing.T) {
 	if res.Degraded() || res.Diagnostic() != nil {
 		t.Fatalf("complete trace reported degraded: %v", res.Diagnostic())
 	}
-}
-
-func TestCanonicalizeRejectsForeignThread(t *testing.T) {
-	g := ddg.New(1)
-	g.AddNode(mir.OpAdd, mir.Pos{}, 300, nil) // beyond maxThreads
-	_, err := Canonicalize(g)
-	wantAnalysisError(t, err, analysis.ErrInvalidInput, "thread id")
-}
-
-func TestCanonicalizeRejectsOversizedStream(t *testing.T) {
-	setMaxNodesPerThread(t, 4)
-	g := ddg.New(5)
-	for i := 0; i < 5; i++ {
-		g.AddNode(mir.OpAdd, mir.Pos{}, 0, nil)
-	}
-	_, err := Canonicalize(g)
-	wantAnalysisError(t, err, analysis.ErrResourceExhausted, "exceeds")
 }

@@ -25,7 +25,8 @@ import (
 // thread's load in every execution, so a ready node always exists (the
 // earliest unemitted node in the execution's real-time order is one).
 // For single-threaded traces the merge degenerates to the buffer order,
-// reproducing exactly the ids the legacy global-lock tracer assigned.
+// so node ids are execution order. The graphs this produces are pinned in
+// testdata/ddg_identities.json (TestGoldenDDGIdentities).
 //
 // Emission order is predecessor-first, so nodes stream straight into a
 // ddg.FrozenBuilder: no intermediate per-node adjacency, and the result
@@ -34,10 +35,10 @@ import (
 // from the recorded scope chains on first use (ddg.Graph.LoopIterIndex).
 //
 // Buffers produced by the VM hot path are well-formed by construction, but
-// finalize also accepts buffers rebuilt from external graphs
-// (Canonicalize) and fuzzed ones, so it validates shape up front and
-// returns typed errors — InvalidInput for malformed buffers,
-// InvariantViolation for an operand cycle — instead of crashing.
+// finalize also accepts hand-built and fuzzed ones (FuzzFinalize), so it
+// validates shape up front and returns typed errors — InvalidInput for
+// malformed buffers, InvariantViolation for an operand cycle — instead of
+// crashing.
 func finalize(bufs []*threadBuf) (*ddg.Graph, error) {
 	total, maxArcs := 0, 0
 	for _, tb := range bufs {
@@ -129,54 +130,4 @@ func finalize(bufs []*threadBuf) (*ddg.Graph, error) {
 		}
 	}
 	return fb.Finish()
-}
-
-// Canonicalize renumbers a traced DDG into the deterministic order that
-// finalize produces: per-thread streams (taken in ascending node-id
-// order, which for an execution-ordered graph is each thread's program
-// order) interleaved by the same ready-run merge. Graphs produced by the
-// per-thread tracer are already canonical, so Canonicalize is the
-// identity on them; applying it to a legacy global-lock trace yields the
-// exact graph the per-thread tracer builds for the same execution, which
-// is how the equivalence tests compare the two tracers. Graphs that the
-// per-thread tracer could not have produced — thread ids or per-thread
-// stream lengths outside the provisional-id space — are rejected with an
-// InvalidInput error.
-func Canonicalize(g *ddg.Graph) (*ddg.Graph, error) {
-	n := g.NumNodes()
-	// Rebuild pseudo-buffers: assign each node a provisional id from its
-	// (thread, per-thread order) and re-record its operands (preds are
-	// stored in operand order).
-	prov := make([]ddg.NodeID, n)
-	var bufs []*threadBuf
-	for i := 0; i < n; i++ {
-		u := ddg.NodeID(i)
-		t := g.Thread(u)
-		if t < 0 || t >= maxThreads {
-			return nil, analysis.Errorf(analysis.StageFinalize, analysis.InvalidInput,
-				"trace: Canonicalize: node %d has thread id %d outside [0, %d)", u, t, maxThreads).OnThread(t)
-		}
-		for int(t) >= len(bufs) {
-			bufs = append(bufs, nil)
-		}
-		if bufs[t] == nil {
-			bufs[t] = &threadBuf{thread: t}
-		}
-		if len(bufs[t].recs) >= maxNodesPerThread {
-			return nil, analysis.Errorf(analysis.StageFinalize, analysis.ResourceExhausted,
-				"trace: Canonicalize: thread %d stream exceeds %d nodes", t, maxNodesPerThread).OnThread(t)
-		}
-		prov[u] = packProv(t, len(bufs[t].recs))
-		bufs[t].recs = append(bufs[t].recs, nodeRec{op: g.Op(u), pos: g.Pos(u), scope: g.ScopeOf(u)})
-	}
-	for i := 0; i < n; i++ {
-		u := ddg.NodeID(i)
-		tb := bufs[g.Thread(u)]
-		for _, p := range g.Preds(u) {
-			tb.operands = append(tb.operands, prov[p])
-		}
-		_, idx := unpackProv(prov[u])
-		tb.recs[idx].opEnd = uint32(len(tb.operands))
-	}
-	return finalize(bufs)
 }

@@ -114,68 +114,3 @@ func TestDeterminism8Threads(t *testing.T) {
 		})
 	}
 }
-
-// TestLegacyEquivalencePthreads asserts the per-thread tracer builds the
-// same DDG as the seed's single-lock tracer. Legacy node ids follow the
-// scheduler's interleaving, so the legacy graph is first renumbered by
-// the same deterministic merge (Canonicalize); after that the two graphs
-// must be byte-for-byte identical.
-func TestLegacyEquivalencePthreads(t *testing.T) {
-	for _, tc := range stressCases() {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			b := starbench.ByName(tc.name)
-			built := b.Build(starbench.Pthreads, tc.params)
-			res, err := trace.Run(built.Prog, vm.WithMaxOps(1<<24))
-			if err != nil {
-				t.Fatalf("trace.Run: %v", err)
-			}
-			leg, err := trace.RunLegacy(built.Prog, vm.WithMaxOps(1<<24))
-			if err != nil {
-				t.Fatalf("trace.RunLegacy: %v", err)
-			}
-			canon, err := trace.Canonicalize(leg.Graph)
-			if err != nil {
-				t.Fatalf("trace.Canonicalize: %v", err)
-			}
-			if got, want := fingerprint(canon), fingerprint(res.Graph); got != want {
-				t.Fatal("canonicalized legacy DDG differs from per-thread tracer DDG")
-			}
-		})
-	}
-}
-
-// TestLegacyEquivalenceSeq asserts that for single-threaded traces the
-// per-thread tracer reproduces the legacy tracer's graph exactly — same
-// node numbering, same arc order — without any renumbering. This is what
-// keeps the paper-table outputs (Tables 1 and 3) bit-identical to the
-// seed.
-func TestLegacyEquivalenceSeq(t *testing.T) {
-	for _, b := range starbench.All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			t.Parallel()
-			built := b.Build(starbench.Seq, b.Analysis)
-			res, err := trace.Run(built.Prog, vm.WithMaxOps(1<<24))
-			if err != nil {
-				t.Fatalf("trace.Run: %v", err)
-			}
-			leg, err := trace.RunLegacy(built.Prog, vm.WithMaxOps(1<<24))
-			if err != nil {
-				t.Fatalf("trace.RunLegacy: %v", err)
-			}
-			if got, want := fingerprint(res.Graph), fingerprint(leg.Graph); got != want {
-				t.Fatal("per-thread tracer DDG differs from legacy DDG on a sequential trace")
-			}
-			// And Canonicalize is the identity on canonical graphs.
-			canon, err := trace.Canonicalize(res.Graph)
-			if err != nil {
-				t.Fatalf("trace.Canonicalize: %v", err)
-			}
-			if got := fingerprint(canon); got != fingerprint(res.Graph) {
-				t.Fatal("Canonicalize is not the identity on a canonical graph")
-			}
-		})
-	}
-}

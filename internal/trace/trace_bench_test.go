@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"discovery/internal/mir"
 	"discovery/internal/starbench"
 	"discovery/internal/trace"
 	"discovery/internal/vm"
@@ -12,15 +11,12 @@ import (
 
 // BenchmarkTraceThroughput measures DDG construction throughput
 // (operations traced per second) for the md5 kernel, sequentially and
-// split over 2/4/8 worker threads, under both the parallel-native
-// per-thread tracer and the seed's single-lock tracer:
+// split over 2/4/8 worker threads:
 //
 //	go test ./internal/trace/ -bench TraceThroughput -benchtime 5x
 //
-// The per-thread tracer is expected to pull ahead of the single-lock one
-// as worker threads are added (>=2x at 4 workers with GOMAXPROCS>=4);
-// cmd/experiments -run bench records the same comparison as
-// BENCH_trace.json with median-of-20 timings.
+// The repo benchmark (`bash perfbench/run.sh`, BENCHMARK.json) times the
+// tracer end to end as the trace.execute_s and trace.nodes_per_s layers.
 func BenchmarkTraceThroughput(b *testing.B) {
 	const nbuf, bufwords = 256, 4
 	md5 := starbench.ByName("md5")
@@ -33,13 +29,6 @@ func BenchmarkTraceThroughput(b *testing.B) {
 		{starbench.Pthreads, 4},
 		{starbench.Pthreads, 8},
 	}
-	tracers := []struct {
-		name string
-		run  func(*mir.Program, ...vm.Option) (*trace.Result, error)
-	}{
-		{"legacy", trace.RunLegacy},
-		{"perthread", trace.Run},
-	}
 	for _, cfg := range configs {
 		nproc := int64(cfg.threads)
 		if cfg.version == starbench.Seq {
@@ -47,19 +36,16 @@ func BenchmarkTraceThroughput(b *testing.B) {
 		}
 		built := md5.Build(cfg.version,
 			starbench.Params{"nbuf": nbuf, "bufwords": bufwords, "nproc": nproc})
-		for _, tr := range tracers {
-			name := fmt.Sprintf("%s-%dthreads/%s", cfg.version, cfg.threads, tr.name)
-			b.Run(name, func(b *testing.B) {
-				var ops int64
-				for i := 0; i < b.N; i++ {
-					res, err := tr.run(built.Prog, vm.WithMaxOps(1<<32))
-					if err != nil {
-						b.Fatal(err)
-					}
-					ops = res.Ops
+		b.Run(fmt.Sprintf("%s-%dthreads", cfg.version, cfg.threads), func(b *testing.B) {
+			var ops int64
+			for i := 0; i < b.N; i++ {
+				res, err := trace.Run(built.Prog, vm.WithMaxOps(1<<32))
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(ops)*float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-			})
-		}
+				ops = res.Ops
+			}
+			b.ReportMetric(float64(ops)*float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
+		})
 	}
 }
