@@ -4,10 +4,13 @@ package trace_test
 // builds. Every Starbench benchmark × version at its analysis input, plus
 // the 8-thread stress inputs, is traced and reduced to its node and arc
 // counts, its Graph.Fingerprint, and a SHA-256 of the fingerprint helper's
-// full rendering (op, pos, thread, scope chain, succ/pred order). Any
-// tracer change that alters a DDG — ids, arc order, scopes — fails here;
-// a deliberate change is accepted with `go test ./internal/trace -update`
-// after reviewing why the graphs moved.
+// full rendering (op, pos, thread, scope chain, succ/pred order). The
+// same four values are pinned for core.Simplify's output on each graph,
+// so a change to the simplifier or to InducedSubgraph that moves a node,
+// an arc or the pred order fails here too (Fingerprint alone does not
+// cover pred order; the rendering does). Any change that alters a DDG
+// fails here; a deliberate one is accepted with
+// `go test ./internal/trace -update` after reviewing why the graphs moved.
 
 import (
 	"crypto/sha256"
@@ -19,6 +22,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"discovery/internal/core"
+	"discovery/internal/ddg"
 	"discovery/internal/starbench"
 	"discovery/internal/trace"
 	"discovery/internal/vm"
@@ -28,13 +33,19 @@ var update = flag.Bool("update", false, "rewrite testdata/ddg_identities.json")
 
 const identitiesPath = "testdata/ddg_identities.json"
 
-// ddgIdentity pins one traced graph.
-type ddgIdentity struct {
-	Name        string `json:"name"`
+// graphIdentity is the pinned summary of one graph.
+type graphIdentity struct {
 	Nodes       int    `json:"nodes"`
 	Arcs        int    `json:"arcs"`
 	Fingerprint string `json:"fingerprint"`
 	Rendering   string `json:"rendering_sha256"`
+}
+
+// ddgIdentity pins one traced graph and its simplified form.
+type ddgIdentity struct {
+	Name string `json:"name"`
+	graphIdentity
+	Simplified graphIdentity `json:"simplified"`
 }
 
 // identityCase is one program and input to trace.
@@ -68,11 +79,17 @@ func identityOf(t *testing.T, c identityCase) ddgIdentity {
 	if err != nil {
 		t.Fatalf("%s: trace.Run: %v", c.name, err)
 	}
-	g := res.Graph
+	return ddgIdentity{
+		Name:          c.name,
+		graphIdentity: summarize(res.Graph),
+		Simplified:    summarize(core.Simplify(res.Graph)),
+	}
+}
+
+func summarize(g *ddg.Graph) graphIdentity {
 	fp := g.Fingerprint()
 	sum := sha256.Sum256([]byte(fingerprint(g)))
-	return ddgIdentity{
-		Name:        c.name,
+	return graphIdentity{
 		Nodes:       g.NumNodes(),
 		Arcs:        g.NumArcs(),
 		Fingerprint: fmt.Sprintf("%016x%016x", fp.Hi, fp.Lo),
