@@ -572,6 +572,7 @@ func emitFindMetrics(rec obs.Recorder, res *Result, cache *ViewCache) {
 	if res.Graph != nil && res.Graph.Spilled() {
 		st := res.Graph.PageStats()
 		rec.Count(obs.MetricDDGPageFaults, st.Faults)
+		rec.Count(obs.MetricDDGPagesReadBytes, st.ReadBytes)
 		rec.Count(obs.MetricDDGPageEvictions, st.Evictions)
 		rec.Gauge(obs.MetricDDGPagesSpilledBytes, float64(st.SpilledBytes))
 		rec.Gauge(obs.MetricDDGPagesResidentBytes, float64(st.ResidentBytes))

@@ -5,6 +5,8 @@
 package core
 
 import (
+	"slices"
+
 	"discovery/internal/ddg"
 	"discovery/internal/mir"
 )
@@ -19,55 +21,39 @@ import (
 // computation whose output is used exclusively in addressing — such as the
 // cluster index map in kmeans — loses its outgoing arcs, which later
 // precludes matching it as a map (constraint 2d).
+//
+// Whether a node is removed depends only on its successors, and every
+// successor has a higher id (the topological-id invariant), so one pass in
+// descending id order settles each node after all of its uses.
 func Simplify(g *ddg.Graph) *ddg.Graph {
 	n := g.NumNodes()
 	removed := make([]bool, n)
-	// Seed: all address-calculation nodes.
-	for i := 0; i < n; i++ {
-		if g.Op(ddg.NodeID(i)).Class() == mir.ClassAddr {
+	keep := make(ddg.Set, 0, n)
+	for i := n - 1; i >= 0; i-- {
+		u := ddg.NodeID(i)
+		switch g.Op(u).Class() {
+		case mir.ClassAddr:
+			// Seed: all address-calculation nodes.
 			removed[i] = true
-		}
-	}
-	// Closure: remove computation and conversion nodes all of whose uses
-	// were removed. Nodes with no uses at all stay: they are sinks of real
-	// computation (e.g. comparisons feeding branches), not traversals.
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if removed[i] {
-				continue
-			}
-			u := ddg.NodeID(i)
-			class := g.Op(u).Class()
-			if class != mir.ClassArith && class != mir.ClassConv {
-				continue
-			}
+		case mir.ClassArith, mir.ClassConv:
+			// Computation and conversion nodes go when all of their uses
+			// went. Nodes with no uses at all stay: they are sinks of real
+			// computation (e.g. comparisons feeding branches), not
+			// traversals.
 			succs := g.Succs(u)
-			if len(succs) == 0 {
-				continue
-			}
-			all := true
+			removed[i] = len(succs) > 0
 			for _, v := range succs {
 				if !removed[v] {
-					all = false
+					removed[i] = false
 					break
 				}
 			}
-			if all {
-				removed[i] = true
-				changed = true
-			}
 		}
-	}
-	var keep []ddg.NodeID
-	for i := 0; i < n; i++ {
 		if !removed[i] {
-			keep = append(keep, ddg.NodeID(i))
+			keep = append(keep, u)
 		}
 	}
-	gs, _ := g.InducedSubgraph(ddg.NewSet(keep...))
-	// The simplified graph is never mutated again; freezing it packs the
-	// adjacency into its CSR layout for the traversal-heavy phases.
-	gs.Freeze()
+	slices.Reverse(keep)
+	gs, _ := g.InducedSubgraph(keep)
 	return gs
 }

@@ -93,7 +93,7 @@ func (s Set) Hash() Hash128 {
 }
 
 // fingerprint state lives on the Graph (graph.go) and memoizes via
-// sync.Once: frozen graphs are immutable, so one pass suffices.
+// sync.Once: graphs are immutable, so one pass suffices.
 type fingerprintMemo struct {
 	once sync.Once
 	fp   Hash128
@@ -107,8 +107,7 @@ type fingerprintMemo struct {
 // cross-run view cache relies on, and one the deterministic tracer
 // guarantees for repeated traces of the same program and input.
 //
-// The result is memoized on first call; Fingerprint must not be called
-// while the graph is still being built.
+// The result is memoized on first call.
 func (g *Graph) Fingerprint() Hash128 {
 	g.fpMemo.once.Do(func() {
 		h := NewHasher(hashSeedFingerprint)

@@ -67,31 +67,32 @@ func TestSetHash(t *testing.T) {
 	}
 }
 
-// hashTestGraph builds a small frozen graph: a 4-node chain plus a fork.
+// hashTestGraph builds a small graph: a 4-node chain plus a fork, with an
+// optional extra arc 0 -> 4.
 //
 //	0 -> 1 -> 2 -> 3
 //	     1 -> 4
-func hashTestGraph(t *testing.T) *Graph {
+func hashTestGraph(t *testing.T, extraArc bool) *Graph {
 	t.Helper()
-	g := New(5)
+	fb := NewFrozenBuilder(5, 5)
+	preds := [][]NodeID{nil, {0}, {1}, {2}, {1}}
+	if extraArc {
+		preds[4] = append(preds[4], 0)
+	}
 	ops := []mir.Op{mir.OpFSub, mir.OpFAdd, mir.OpFMul, mir.OpFDiv, mir.OpFDiv}
 	for i, op := range ops {
-		id := g.AddNode(op, mir.Pos{File: "h.c", Line: i + 1}, 0, nil)
-		if id != NodeID(i) {
-			t.Fatalf("node id %d != %d", id, i)
-		}
+		fb.AddNode(op, mir.Pos{File: "h.c", Line: i + 1}, 0, nil, preds[i]...)
 	}
-	g.AddArc(0, 1)
-	g.AddArc(1, 2)
-	g.AddArc(2, 3)
-	g.AddArc(1, 4)
-	g.Freeze()
+	g, err := fb.Finish()
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
 	return g
 }
 
 func TestGraphFingerprint(t *testing.T) {
-	g1 := hashTestGraph(t)
-	g2 := hashTestGraph(t)
+	g1 := hashTestGraph(t, false)
+	g2 := hashTestGraph(t, false)
 	if g1.Fingerprint() != g2.Fingerprint() {
 		t.Error("identically built graphs must fingerprint equally")
 	}
@@ -100,17 +101,7 @@ func TestGraphFingerprint(t *testing.T) {
 	}
 
 	// One extra arc changes it.
-	g3 := New(5)
-	for i, op := range []mir.Op{mir.OpFSub, mir.OpFAdd, mir.OpFMul, mir.OpFDiv, mir.OpFDiv} {
-		g3.AddNode(op, mir.Pos{File: "h.c", Line: i + 1}, 0, nil)
-	}
-	g3.AddArc(0, 1)
-	g3.AddArc(1, 2)
-	g3.AddArc(2, 3)
-	g3.AddArc(1, 4)
-	g3.AddArc(0, 4)
-	g3.Freeze()
-	if g3.Fingerprint() == g1.Fingerprint() {
+	if g3 := hashTestGraph(t, true); g3.Fingerprint() == g1.Fingerprint() {
 		t.Error("an extra arc must change the fingerprint")
 	}
 }

@@ -11,25 +11,13 @@ import (
 
 // chainGraph builds 0 -> 1 -> 2 -> 3 with an extra arc 0 -> 3.
 func chainGraph() *Graph {
-	g := New(4)
-	for i := 0; i < 4; i++ {
-		g.AddNode(mir.OpAdd, mir.Pos{}, 0, nil)
-	}
-	g.AddArc(0, 1)
-	g.AddArc(1, 2)
-	g.AddArc(2, 3)
-	g.AddArc(0, 3)
-	return g
+	return arcGraph(repeatOp(mir.OpAdd, 4),
+		[2]NodeID{0, 1}, [2]NodeID{1, 2}, [2]NodeID{2, 3}, [2]NodeID{0, 3})
 }
 
 func TestCheckInvariantsCleanGraph(t *testing.T) {
-	g := chainGraph()
-	if err := g.CheckInvariants(); err != nil {
-		t.Errorf("building-phase graph: %v", err)
-	}
-	g.Freeze()
-	if err := g.CheckInvariants(); err != nil {
-		t.Errorf("frozen graph: %v", err)
+	if err := chainGraph().CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -50,29 +38,64 @@ func TestCheckInvariantsFrozenBuilderGraph(t *testing.T) {
 	}
 }
 
+// TestFrozenBuilderRejectsBackwardArc: every arc that does not flow from a
+// lower to a higher id — a pred that does not exist yet, a self arc, or
+// the arc that would close a cycle on a 100-node chain — fails Finish with
+// a typed InvariantViolation, so no cyclic graph can be built.
 func TestFrozenBuilderRejectsBackwardArc(t *testing.T) {
-	fb := NewFrozenBuilder(2, 2)
-	fb.AddNode(mir.OpAdd, mir.Pos{}, 0, nil, 5) // pred 5 does not exist yet
-	fb.AddNode(mir.OpMul, mir.Pos{}, 0, nil)
-	g, err := fb.Finish()
-	if err == nil {
-		t.Fatal("Finish accepted a forward-referencing pred")
-	}
-	if g != nil {
-		t.Error("Finish returned a graph alongside the error")
-	}
-	if !errors.Is(err, analysis.ErrInvariantViolation) {
-		t.Errorf("error kind = %v, want invariant violation", err)
-	}
-	if !strings.Contains(err.Error(), "does not precede") {
-		t.Errorf("error lacks context: %v", err)
+	for _, tc := range []struct {
+		name string
+		n    int
+		bad  func(v NodeID) []NodeID // extra preds of node v
+	}{
+		{"forward-reference", 2, func(v NodeID) []NodeID { // pred 5 does not exist yet
+			if v == 0 {
+				return []NodeID{5}
+			}
+			return nil
+		}},
+		{"self-arc", 2, func(v NodeID) []NodeID {
+			if v == 1 {
+				return []NodeID{1}
+			}
+			return nil
+		}},
+		{"cycle", 100, func(v NodeID) []NodeID { // 99 -> 0 closes the chain
+			if v == 0 {
+				return []NodeID{99}
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fb := NewFrozenBuilder(tc.n, tc.n)
+			for v := NodeID(0); int(v) < tc.n; v++ {
+				preds := tc.bad(v)
+				if v > 0 {
+					preds = append(preds, v-1)
+				}
+				fb.AddNode(mir.OpAdd, mir.Pos{}, 0, nil, preds...)
+			}
+			g, err := fb.Finish()
+			if err == nil {
+				t.Fatal("Finish accepted an arc that does not flow forward")
+			}
+			if g != nil {
+				t.Error("Finish returned a graph alongside the error")
+			}
+			if !errors.Is(err, analysis.ErrInvariantViolation) {
+				t.Errorf("error kind = %v, want invariant violation", err)
+			}
+			if !strings.Contains(err.Error(), "does not precede") {
+				t.Errorf("error lacks context: %v", err)
+			}
+		})
 	}
 }
 
 func TestCheckInvariantsDetectsAsymmetry(t *testing.T) {
 	g := chainGraph()
-	g.Freeze()
-	// Corrupt the frozen pred array: retarget an arc on the pred side only.
+	// Corrupt the pred array: retarget an arc on the pred side only.
 	g.predArr[0] = 2 // node 1's pred becomes 2 (also backwards: 2 > 1)
 	if err := g.CheckInvariants(); err == nil {
 		t.Error("corrupted CSR passed invariant checking")
@@ -81,7 +104,6 @@ func TestCheckInvariantsDetectsAsymmetry(t *testing.T) {
 
 func TestCheckInvariantsDetectsDuplicateArc(t *testing.T) {
 	g := chainGraph()
-	g.Freeze()
 	// Make node 3's preds [2, 2] instead of [2, 0] — a dedup violation
 	// that keeps the arc count consistent on the pred side.
 	for i := g.predOff[3]; i < g.predOff[4]; i++ {
@@ -89,16 +111,5 @@ func TestCheckInvariantsDetectsDuplicateArc(t *testing.T) {
 	}
 	if err := g.CheckInvariants(); err == nil {
 		t.Error("duplicate arc passed invariant checking")
-	}
-}
-
-func TestCheckInvariantsDetectsRetainedBuildingState(t *testing.T) {
-	g := chainGraph()
-	g.Freeze()
-	g.succ = make([][]NodeID, g.NumNodes()) // immutability leak
-	if err := g.CheckInvariants(); err == nil {
-		t.Error("retained building-phase adjacency passed invariant checking")
-	} else if !strings.Contains(err.Error(), "building-phase") {
-		t.Errorf("unexpected violation: %v", err)
 	}
 }

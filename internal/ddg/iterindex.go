@@ -34,8 +34,8 @@ type LoopIterIndex struct {
 	ord  []int32
 }
 
-// iterIndexMemo caches a frozen graph's derived indexes (see
-// iterIndexes); immutable once computed.
+// iterIndexMemo caches a graph's derived indexes (see iterIndexes);
+// immutable once computed.
 type iterIndexMemo struct {
 	once   sync.Once
 	byLoop map[mir.LoopID]*LoopIterIndex
@@ -60,18 +60,14 @@ func (ix *LoopIterIndex) NumGroups() int {
 }
 
 // LoopIterIndex returns the compaction index for the given static loop,
-// or nil when no node of the graph executed inside it. The first call on
-// a frozen graph derives the indexes of every loop at once
-// (deriveIterIndexes); later calls, from any goroutine, read the memo. A
-// graph still being built may gain nodes, so it derives afresh per call.
+// or nil when no node of the graph executed inside it. The first call
+// derives the indexes of every loop at once (deriveIterIndexes); later
+// calls, from any goroutine, read the memo.
 func (g *Graph) LoopIterIndex(loop mir.LoopID) *LoopIterIndex {
 	return g.iterIndexes()[loop]
 }
 
 func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
-	if !g.frozen {
-		return deriveIterIndexes(g)
-	}
 	g.iters.once.Do(func() { g.iters.byLoop = deriveIterIndexes(g) })
 	return g.iters.byLoop
 }

@@ -37,7 +37,7 @@ func buildLoopGraph(t *testing.T) *Graph {
 	return g
 }
 
-// buildScopedGraph freezes a chain of nodes, one per scope, all on the
+// buildScopedGraph builds a chain of nodes, one per scope, all on the
 // given threads (threads[i] executes node i; nil means thread 0).
 func buildScopedGraph(t *testing.T, scopes []*Scope, threads []int32) *Graph {
 	t.Helper()
@@ -193,7 +193,7 @@ func groupsOf(g *Graph, loop mir.LoopID, back []NodeID) [][]NodeID {
 
 // TestIterIndexRestrictsThroughInducedSubgraph: a subgraph derives its own
 // index, and its groups — mapped back to base ids — equal the base's
-// groups restricted to the kept nodes, before and after freezing.
+// groups restricted to the kept nodes.
 func TestIterIndexRestrictsThroughInducedSubgraph(t *testing.T) {
 	var root *Scope
 	o0 := root.Enter(1, 0)
@@ -204,48 +204,27 @@ func TestIterIndexRestrictsThroughInducedSubgraph(t *testing.T) {
 	g := buildScopedGraph(t, scopes, nil)
 	for _, keep := range []Set{g.Nodes(), NewSet(0, 3, 4), NewSet(2, 5, 7, 8), NewSet(1, 6)} {
 		sub, back := g.InducedSubgraph(keep)
-		for _, frozen := range []bool{false, true} {
-			if frozen {
-				sub.Freeze()
-			}
-			for _, loop := range []mir.LoopID{1, 2} {
-				var want [][]NodeID
-				for _, grp := range groupsOf(g, loop, nil) {
-					var kept []NodeID
-					for _, u := range grp {
-						if keep.Contains(u) {
-							kept = append(kept, u)
-						}
-					}
-					if kept != nil {
-						want = append(want, kept)
+		for _, loop := range []mir.LoopID{1, 2} {
+			var want [][]NodeID
+			for _, grp := range groupsOf(g, loop, nil) {
+				var kept []NodeID
+				for _, u := range grp {
+					if keep.Contains(u) {
+						kept = append(kept, u)
 					}
 				}
-				got := groupsOf(sub, loop, back)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("keep %v loop %d frozen=%t: subgraph groups %v, want %v", keep, loop, frozen, got, want)
+				if kept != nil {
+					want = append(want, kept)
 				}
 			}
-			if err := sub.CheckInvariants(); err != nil {
-				t.Errorf("keep %v frozen=%t: subgraph index fails invariants: %v", keep, frozen, err)
+			got := groupsOf(sub, loop, back)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("keep %v loop %d: subgraph groups %v, want %v", keep, loop, got, want)
 			}
 		}
-	}
-}
-
-// TestIterIndexGrowingGraph: a graph still being built derives afresh, so
-// nodes added after a lookup are indexed by the next one.
-func TestIterIndexGrowingGraph(t *testing.T) {
-	var root *Scope
-	s := root.Enter(1, 0)
-	g := New(2)
-	g.AddNode(mir.OpAdd, mir.Pos{}, 0, s)
-	if n := g.LoopIterIndex(1).NumGroups(); n != 1 {
-		t.Fatalf("NumGroups = %d, want 1", n)
-	}
-	u := g.AddNode(mir.OpAdd, mir.Pos{}, 0, s.NextIter())
-	if o, ok := g.LoopIterIndex(1).OrdinalOf(u); !ok || o != 1 {
-		t.Fatalf("OrdinalOf(new node) = (%d, %t), want (1, true)", o, ok)
+		if err := sub.CheckInvariants(); err != nil {
+			t.Errorf("keep %v: subgraph index fails invariants: %v", keep, err)
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func refUnionAll(sets ...Set) Set {
 // of the base graph, so an empty one serves for any id range.
 func checkRank(t *testing.T, s Set, probes []NodeID) {
 	t.Helper()
-	sv := New(0).Overlay(s)
+	sv := arcGraph(nil).Overlay(s)
 	for _, u := range probes {
 		want := refIndexOf(s, u)
 		if got := sv.Rank(u); got != want {
@@ -185,24 +185,28 @@ func FuzzOverlayRank(f *testing.F) {
 	})
 }
 
-// randomDAG builds a frozen DAG of n nodes whose arcs mostly join nearby
-// ids (the locality traced DDGs have) with occasional long arcs, plus
-// parallel arcs and isolated nodes.
+// randomDAG builds a DAG of n nodes whose arcs mostly join nearby ids
+// (the locality traced DDGs have) with occasional long arcs, plus parallel
+// arcs and isolated nodes.
 func randomDAG(rng *rand.Rand, n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddNode(mir.OpFAdd, mir.Pos{File: "r.c", Line: 1}, 0, nil)
-	}
-	for v := 1; v < n; v++ {
-		for k := rng.Intn(3); k > 0; k-- {
-			u := v - 1 - rng.Intn(min(v, 8))
-			if rng.Intn(10) == 0 {
-				u = rng.Intn(v)
+	fb := NewFrozenBuilder(n, 2*n)
+	for v := 0; v < n; v++ {
+		var preds []NodeID
+		if v > 0 {
+			for k := rng.Intn(3); k > 0; k-- {
+				u := v - 1 - rng.Intn(min(v, 8))
+				if rng.Intn(10) == 0 {
+					u = rng.Intn(v)
+				}
+				preds = append(preds, NodeID(u))
 			}
-			g.AddArc(NodeID(u), NodeID(v))
 		}
+		fb.AddNode(mir.OpFAdd, mir.Pos{File: "r.c", Line: 1}, 0, nil, preds...)
 	}
-	g.Freeze()
+	g, err := fb.Finish()
+	if err != nil {
+		panic(err)
+	}
 	return g
 }
 

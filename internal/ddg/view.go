@@ -1,9 +1,9 @@
 package ddg
 
 // Zero-copy membership overlays. The pattern definitions (§4) are stated
-// over one DDG, and every matcher and verifier reads the frozen *Graph
-// directly; SubView is the one companion type: a restriction of a frozen
-// graph to a node subset, held as a bitset membership mask over the
+// over one DDG, and every matcher and verifier reads the *Graph
+// directly; SubView is the one companion type: a restriction of a graph
+// to a node subset, held as a bitset membership mask over the
 // shared CSR arrays. It answers "is u a member?" and "what is u's
 // position among the members?" and walks member successors, nothing more:
 // node attributes and the analyses of algo.go stay on the graph. Node ids

@@ -8,15 +8,14 @@ import (
 
 // viewTestGraph: 0 -> 1 -> 2 -> 3, 1 -> 4 (same shape as hashTestGraph).
 func viewTestGraph() *Graph {
-	g := New(5)
-	for i := 0; i < 5; i++ {
-		g.AddNode(mir.OpFAdd, mir.Pos{File: "v.c", Line: i + 1}, 0, nil)
+	fb := NewFrozenBuilder(5, 4)
+	for i, preds := range [][]NodeID{nil, {0}, {1}, {2}, {1}} {
+		fb.AddNode(mir.OpFAdd, mir.Pos{File: "v.c", Line: i + 1}, 0, nil, preds...)
 	}
-	g.AddArc(0, 1)
-	g.AddArc(1, 2)
-	g.AddArc(2, 3)
-	g.AddArc(1, 4)
-	g.Freeze()
+	g, err := fb.Finish()
+	if err != nil {
+		panic(err)
+	}
 	return g
 }
 

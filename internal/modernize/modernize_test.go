@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"discovery/internal/core"
-	"discovery/internal/ddg"
+	"discovery/internal/ddg/ddgtest"
 	"discovery/internal/mir"
 	"discovery/internal/patterns"
 	"discovery/internal/starbench"
@@ -79,7 +79,7 @@ func TestSuggestCoversAllKinds(t *testing.T) {
 		patterns.KindLinearMapReduction, patterns.KindTiledMapReduction,
 		patterns.KindStencil, patterns.KindTreeReduction, patterns.KindPipeline,
 	}
-	g := ddg.New(0)
+	g := new(ddgtest.Builder).Graph()
 	for _, k := range kinds {
 		s := Suggest(g, &patterns.Pattern{Kind: k, Op: mir.OpFAdd})
 		if s == "" || strings.Contains(s, "no modernization template") {

@@ -34,6 +34,7 @@ const (
 	// Out-of-core paged DDGs (ddg.SpillArcs). Counters unless noted.
 	MetricDDGSpills                 = "discovery_ddg_spills_total"
 	MetricDDGPageFaults             = "discovery_ddg_pages_faults_total"
+	MetricDDGPagesReadBytes         = "discovery_ddg_pages_read_bytes_total"
 	MetricDDGPageEvictions          = "discovery_ddg_pages_evictions_total"
 	MetricDDGPagesSpilledBytes      = "discovery_ddg_pages_spilled_bytes"       // gauge
 	MetricDDGPagesResidentBytes     = "discovery_ddg_pages_resident_bytes"      // gauge

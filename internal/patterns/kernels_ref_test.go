@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"discovery/internal/ddg"
+	"discovery/internal/ddg/ddgtest"
 	"discovery/internal/mir"
 )
 
@@ -90,7 +91,7 @@ func refVerifyMap(g *ddg.Graph, p *Pattern) error {
 // (three invocations, interleaved so ordinals do not follow ids), some of
 // them nested in loop 2, and some in no loop at all.
 func scopedDAG(r *prng, n int) *ddg.Graph {
-	g := ddg.New(n)
+	var b ddgtest.Builder
 	for i := 0; i < n; i++ {
 		var scope *ddg.Scope
 		switch r.intn(5) {
@@ -101,7 +102,7 @@ func scopedDAG(r *prng, n int) *ddg.Graph {
 		default:
 			scope = &ddg.Scope{Loop: 1, Invocation: uint64(1 + r.intn(3)), Iter: int64(r.intn(6))}
 		}
-		g.AddNode(mir.OpFAdd, mir.Pos{File: "s.c", Line: 1}, 0, scope)
+		b.AddNode(mir.OpFAdd, mir.Pos{File: "s.c", Line: 1}, 0, scope)
 	}
 	// Mostly short arcs, as in traces, with some long ones.
 	for v := 1; v < n; v++ {
@@ -110,11 +111,10 @@ func scopedDAG(r *prng, n int) *ddg.Graph {
 			if r.intn(4) == 0 {
 				u = r.intn(v)
 			}
-			g.AddArc(ddg.NodeID(u), ddg.NodeID(v))
+			b.Arc(ddg.NodeID(u), ddg.NodeID(v))
 		}
 	}
-	g.Freeze()
-	return g
+	return b.Graph()
 }
 
 func TestLoopViewMatchesMapBucketReference(t *testing.T) {
@@ -178,13 +178,15 @@ func TestVerifyMapCrossArcsMatchPairwiseReference(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		r := &prng{s: seed | 1}
 		k := 2 + r.intn(6)
-		g, ambient := buildMapDDG(k)
-		comps := LoopView(g, ambient, 1).Groups
+		b := newGB()
+		ambient := addMapDDG(b, k)
+		comps := LoopView(b.Graph(), ambient, 1).Groups
 		for plant := r.intn(3); plant > 0; plant-- {
 			i := r.intn(k - 1)
 			j := i + 1 + r.intn(k-i-1)
-			g.AddArc(comps[i][r.intn(2)], comps[j][0])
+			b.Arc(comps[i][r.intn(2)], comps[j][0])
 		}
+		g := b.Graph()
 		p := &Pattern{Kind: KindMap, Comps: comps, NumFull: k}
 		if checkVerifyMap(t, fmt.Sprintf("map seed %d", seed), g, p) {
 			hits++
@@ -244,9 +246,10 @@ func TestViewKeyOfPinsViewKey(t *testing.T) {
 		if got := ViewKeyOf(nodes.Hash(), loop); got != want {
 			t.Errorf("ViewKeyOf(nodes.Hash(), %d) = %#v, want %#v", loop, got, want)
 		}
-		v := NodeView(ddg.New(0), nodes)
+		empty := new(ddgtest.Builder).Graph()
+		v := NodeView(empty, nodes)
 		if loop != 0 {
-			v = LoopView(ddg.New(0), nodes, loop)
+			v = LoopView(empty, nodes, loop)
 		}
 		if got := v.Hash(); got != want {
 			t.Errorf("view hash for loop %d = %#v, want %#v", loop, got, want)

@@ -4,15 +4,14 @@ import (
 	"testing"
 
 	"discovery/internal/ddg"
+	"discovery/internal/ddg/ddgtest"
 	"discovery/internal/mir"
 )
 
 // gb is a small graph builder for hand-constructed DDGs with loop scopes.
-type gb struct {
-	g *ddg.Graph
-}
+type gb struct{ ddgtest.Builder }
 
-func newGB() *gb { return &gb{g: ddg.New(16)} }
+func newGB() *gb { return &gb{} }
 
 // node adds a node with the given op inside iteration iter of loop 1
 // (invocation 1); iter < 0 means no loop scope.
@@ -21,19 +20,19 @@ func (b *gb) node(op mir.Op, iter int64, preds ...ddg.NodeID) ddg.NodeID {
 	if iter >= 0 {
 		scope = &ddg.Scope{Loop: 1, Invocation: 1, Iter: iter}
 	}
-	id := b.g.AddNode(op, mir.Pos{File: "t.c", Line: int(id32(b.g)) + 1}, 0, scope)
-	for _, p := range preds {
-		b.g.AddArc(p, id)
-	}
-	return id
+	return b.AddNode(op, mir.Pos{File: "t.c", Line: b.NumNodes() + 1}, 0, scope, preds...)
 }
-
-func id32(g *ddg.Graph) int32 { return int32(g.NumNodes()) }
 
 // buildMapDDG builds n independent two-op components (fsub -> fmul), each
 // fed by an external source and feeding an external sink.
 func buildMapDDG(n int) (*ddg.Graph, ddg.Set) {
 	b := newGB()
+	ambient := addMapDDG(b, n)
+	return b.Graph(), ambient
+}
+
+// addMapDDG adds buildMapDDG's graph to b and returns the ambient set.
+func addMapDDG(b *gb, n int) ddg.Set {
 	var ambient []ddg.NodeID
 	for i := 0; i < n; i++ {
 		src := b.node(mir.OpI2F, -1)
@@ -42,7 +41,7 @@ func buildMapDDG(n int) (*ddg.Graph, ddg.Set) {
 		b.node(mir.OpFloor, -1, c) // sink
 		ambient = append(ambient, a, c)
 	}
-	return b.g, ddg.NewSet(ambient...)
+	return ddg.NewSet(ambient...)
 }
 
 func TestMatchMap(t *testing.T) {
@@ -67,11 +66,12 @@ func TestMatchMap(t *testing.T) {
 }
 
 func TestMatchMapRejectsDependentComponents(t *testing.T) {
-	g, ambient := buildMapDDG(3)
+	b := newGB()
+	ambient := addMapDDG(b, 3)
 	// Add a cross-iteration arc: component 0's fmul feeds component 1's fsub.
 	// Nodes: per i: src=4i, fsub=4i+1, fmul=4i+2, sink=4i+3.
-	g.AddArc(2, 5)
-	v := LoopView(g, ambient, 1)
+	b.Arc(2, 5)
+	v := LoopView(b.Graph(), ambient, 1)
 	if p := MatchMap(v); p != nil {
 		t.Errorf("map matched despite dependency: %v", p)
 	}
@@ -95,7 +95,7 @@ func TestMatchMapRejectsNoOutput(t *testing.T) {
 		c := b.node(mir.OpFMul, int64(i), a)
 		ambient = append(ambient, a, c)
 	}
-	v := LoopView(b.g, ddg.NewSet(ambient...), 1)
+	v := LoopView(b.Graph(), ddg.NewSet(ambient...), 1)
 	if p := MatchMap(v); p != nil {
 		t.Errorf("map matched without outputs: %v", p)
 	}
@@ -117,7 +117,7 @@ func TestMatchConditionalMap(t *testing.T) {
 			ambient = append(ambient, c)
 		}
 	}
-	v := LoopView(b.g, ddg.NewSet(ambient...), 1)
+	v := LoopView(b.Graph(), ddg.NewSet(ambient...), 1)
 	p := MatchMap(v)
 	if p == nil {
 		t.Fatal("conditional map not matched")
@@ -125,7 +125,7 @@ func TestMatchConditionalMap(t *testing.T) {
 	if p.Kind != KindConditionalMap || p.NumFull != 2 || len(p.Comps) != 4 {
 		t.Errorf("pattern = %v (NumFull=%d)", p, p.NumFull)
 	}
-	if err := Verify(b.g, p); err != nil {
+	if err := Verify(b.Graph(), p); err != nil {
 		t.Errorf("verification failed: %v", err)
 	}
 }
@@ -140,7 +140,7 @@ func TestMatchMapRejectsMixedLabels(t *testing.T) {
 	src2 := b.node(mir.OpI2F, -1)
 	a2 := b.node(mir.OpFMul, 1, src2)
 	b.node(mir.OpFloor, -1, a2)
-	v := LoopView(b.g, ddg.NewSet(a1, a2), 1)
+	v := LoopView(b.Graph(), ddg.NewSet(a1, a2), 1)
 	if p := MatchMap(v); p != nil {
 		t.Errorf("map matched with mixed labels: %v", p)
 	}
@@ -150,6 +150,12 @@ func TestMatchMapRejectsMixedLabels(t *testing.T) {
 // external element, last one feeding an external sink. Returns the adds.
 func buildChainDDG(n int) (*ddg.Graph, ddg.Set) {
 	b := newGB()
+	adds := addChainDDG(b, n)
+	return b.Graph(), adds
+}
+
+// addChainDDG adds buildChainDDG's graph to b and returns the adds.
+func addChainDDG(b *gb, n int) ddg.Set {
 	var adds []ddg.NodeID
 	var prev ddg.NodeID = ddg.NoNode
 	for i := 0; i < n; i++ {
@@ -164,7 +170,7 @@ func buildChainDDG(n int) (*ddg.Graph, ddg.Set) {
 		prev = add
 	}
 	b.node(mir.OpFloor, -1, prev) // sink
-	return b.g, ddg.NewSet(adds...)
+	return ddg.NewSet(adds...)
 }
 
 func TestMatchLinearReduction(t *testing.T) {
@@ -218,7 +224,7 @@ func TestMatchLinearReductionRejectsNonAssociative(t *testing.T) {
 		prev = n
 	}
 	b.node(mir.OpFloor, -1, prev)
-	if p := MatchLinearReduction(NodeView(b.g, ddg.NewSet(nodes...)), nil); p != nil {
+	if p := MatchLinearReduction(NodeView(b.Graph(), ddg.NewSet(nodes...)), nil); p != nil {
 		t.Errorf("non-associative chain matched: %v", p)
 	}
 }
@@ -238,7 +244,7 @@ func TestMatchLinearReductionRejectsMissingOutput(t *testing.T) {
 	elem2 := b.node(mir.OpI2F, -1)
 	a2 := b.node(mir.OpFAdd, 1, elem2, a1)
 	_ = a2 // no sink: final value unused
-	if p := MatchLinearReduction(NodeView(b.g, ddg.NewSet(a1, a2)), nil); p != nil {
+	if p := MatchLinearReduction(NodeView(b.Graph(), ddg.NewSet(a1, a2)), nil); p != nil {
 		t.Errorf("reduction without output matched: %v", p)
 	}
 }
@@ -247,6 +253,12 @@ func TestMatchLinearReductionRejectsMissingOutput(t *testing.T) {
 // chain of m fadds, with external elements and a sink. Returns all adds.
 func buildTiledDDG(m, p int) (*ddg.Graph, ddg.Set) {
 	b := newGB()
+	all := addTiledDDG(b, m, p)
+	return b.Graph(), all
+}
+
+// addTiledDDG adds buildTiledDDG's graph to b and returns its adds.
+func addTiledDDG(b *gb, m, p int) ddg.Set {
 	var all []ddg.NodeID
 	tails := make([]ddg.NodeID, m)
 	iter := int64(0)
@@ -279,7 +291,7 @@ func buildTiledDDG(m, p int) (*ddg.Graph, ddg.Set) {
 		prev = add
 	}
 	b.node(mir.OpFloor, -1, prev) // sink
-	return b.g, ddg.NewSet(all...)
+	return ddg.NewSet(all...)
 }
 
 func TestMatchTiledReduction(t *testing.T) {
@@ -320,7 +332,7 @@ func TestMatchTiledReductionRejectsUnevenChains(t *testing.T) {
 	f2 := b.node(mir.OpFAdd, 5, c1, f1)
 	b.node(mir.OpFloor, -1, f2)
 	all := ddg.NewSet(a1, a2, a3, c1, f1, f2)
-	if p := MatchTiledReduction(NodeView(b.g, all), nil); p != nil {
+	if p := MatchTiledReduction(NodeView(b.Graph(), all), nil); p != nil {
 		t.Errorf("uneven tiled reduction matched: %v", p)
 	}
 }
@@ -329,6 +341,13 @@ func TestMatchTiledReductionRejectsUnevenChains(t *testing.T) {
 // over the same elements, either linear (m=1 semantics) or tiled.
 func buildLinearMapReduction(n int) (*ddg.Graph, *Pattern, *Pattern) {
 	b := newGB()
+	mapPat, redPat := addLinearMapReduction(b, n)
+	return b.Graph(), mapPat, redPat
+}
+
+// addLinearMapReduction adds buildLinearMapReduction's graph to b and
+// returns the map and reduction patterns.
+func addLinearMapReduction(b *gb, n int) (*Pattern, *Pattern) {
 	var mapComps []ddg.Set
 	var adds []ddg.NodeID
 	var prev ddg.NodeID = ddg.NoNode
@@ -352,7 +371,7 @@ func buildLinearMapReduction(n int) (*ddg.Graph, *Pattern, *Pattern) {
 		redComps[i] = ddg.NewSet(a)
 	}
 	redPat := &Pattern{Kind: KindLinearReduction, Comps: redComps, Op: mir.OpFAdd}
-	return b.g, mapPat, redPat
+	return mapPat, redPat
 }
 
 func TestMatchLinearMapReduction(t *testing.T) {
@@ -370,12 +389,12 @@ func TestMatchLinearMapReduction(t *testing.T) {
 }
 
 func TestMatchLinearMapReductionRejectsEscapingOutput(t *testing.T) {
-	g, m, r := buildLinearMapReduction(4)
+	b := newGB()
+	m, r := addLinearMapReduction(b, 4)
 	// Map component 0's output is also used elsewhere: violates the
 	// "only taken as input by its corresponding component" interface.
-	g.AddNode(mir.OpFloor, mir.Pos{}, 0, nil)
-	g.AddArc(m.Comps[0][0], ddg.NodeID(g.NumNodes()-1))
-	if p := MatchLinearMapReduction(g, m, r); p != nil {
+	b.AddNode(mir.OpFloor, mir.Pos{}, 0, nil, m.Comps[0][0])
+	if p := MatchLinearMapReduction(b.Graph(), m, r); p != nil {
 		t.Errorf("map-reduction matched despite escaping output: %v", p)
 	}
 }
@@ -426,14 +445,14 @@ func TestMatchFusedMap(t *testing.T) {
 	}
 	a := &Pattern{Kind: KindMap, Comps: aComps, NumFull: 4}
 	bp := &Pattern{Kind: KindMap, Comps: bComps, NumFull: 4}
-	p := MatchFusedMap(b.g, a, bp)
+	p := MatchFusedMap(b.Graph(), a, bp)
 	if p == nil {
 		t.Fatal("fused map not matched")
 	}
 	if p.Kind != KindFusedMap || len(p.Comps) != 4 || p.NumFull != 4 {
 		t.Errorf("pattern = %v", p)
 	}
-	if err := Verify(b.g, p); err != nil {
+	if err := Verify(b.Graph(), p); err != nil {
 		t.Errorf("verification failed: %v", err)
 	}
 }
@@ -460,7 +479,7 @@ func TestMatchFusedMapRejectsMismatchedSpaces(t *testing.T) {
 	}
 	a := &Pattern{Kind: KindMap, Comps: aComps, NumFull: 2}
 	bp := &Pattern{Kind: KindMap, Comps: bComps, NumFull: 3}
-	if p := MatchFusedMap(b.g, a, bp); p != nil {
+	if p := MatchFusedMap(b.Graph(), a, bp); p != nil {
 		t.Errorf("fused map matched despite mismatching spaces: %v", p)
 	}
 }
@@ -497,7 +516,7 @@ func TestMatchFusedMapWithConditionalFirstStage(t *testing.T) {
 		Comps:   []ddg.Set{aComps[0], aComps[1], aComps[2], aComps[3]},
 		NumFull: 2}
 	bp := &Pattern{Kind: KindMap, Comps: bComps, NumFull: 4}
-	p := MatchFusedMap(b.g, a, bp)
+	p := MatchFusedMap(b.Graph(), a, bp)
 	if p == nil {
 		t.Fatal("conditional fused map not matched")
 	}
@@ -584,7 +603,7 @@ func TestLoopViewLooseNodes(t *testing.T) {
 	b := newGB()
 	src := b.node(mir.OpI2F, -1)
 	a := b.node(mir.OpFAdd, 0, src)
-	v := LoopView(b.g, ddg.NewSet(src, a), 1)
+	v := LoopView(b.Graph(), ddg.NewSet(src, a), 1)
 	if v.NumGroups() != 2 {
 		t.Errorf("groups = %d, want 2 (loose node separate)", v.NumGroups())
 	}

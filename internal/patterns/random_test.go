@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"discovery/internal/ddg"
+	"discovery/internal/ddg/ddgtest"
 	"discovery/internal/mir"
 )
 
@@ -31,19 +32,19 @@ func randomDAG(seed uint64) (*ddg.Graph, ddg.Set) {
 	r := &prng{s: seed | 1}
 	ops := []mir.Op{mir.OpFAdd, mir.OpFMul, mir.OpFSub, mir.OpI2F, mir.OpGt, mir.OpFDiv}
 	n := 6 + r.intn(14)
-	g := ddg.New(n)
+	var b ddgtest.Builder
 	for i := 0; i < n; i++ {
 		var scope *ddg.Scope
 		if r.intn(4) != 0 { // most nodes sit in some iteration of loop 1
 			scope = &ddg.Scope{Loop: 1, Invocation: 1, Iter: int64(r.intn(5))}
 		}
-		g.AddNode(ops[r.intn(len(ops))], mir.Pos{File: "r.c", Line: 1 + r.intn(6)}, 0, scope)
+		b.AddNode(ops[r.intn(len(ops))], mir.Pos{File: "r.c", Line: 1 + r.intn(6)}, 0, scope)
 	}
 	// Random forward arcs keep the graph a DAG with the id-order invariant.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if r.intn(4) == 0 {
-				g.AddArc(ddg.NodeID(i), ddg.NodeID(j))
+				b.Arc(ddg.NodeID(i), ddg.NodeID(j))
 			}
 		}
 	}
@@ -54,7 +55,7 @@ func randomDAG(seed uint64) (*ddg.Graph, ddg.Set) {
 			amb = append(amb, ddg.NodeID(i))
 		}
 	}
-	return g, ddg.NewSet(amb...)
+	return b.Graph(), ddg.NewSet(amb...)
 }
 
 // perturbedStructured starts from a well-formed pattern graph and injects
@@ -62,23 +63,23 @@ func randomDAG(seed uint64) (*ddg.Graph, ddg.Set) {
 // verify) or reject, never accept something the definitions refute.
 func perturbedStructured(seed uint64) (*ddg.Graph, ddg.Set) {
 	r := &prng{s: seed | 1}
-	var g *ddg.Graph
+	b := newGB()
 	var amb ddg.Set
 	switch r.intn(3) {
 	case 0:
-		g, amb = buildMapDDG(2 + r.intn(5))
+		amb = addMapDDG(b, 2+r.intn(5))
 	case 1:
-		g, amb = buildChainDDG(2 + r.intn(6))
+		amb = addChainDDG(b, 2+r.intn(6))
 	default:
-		g, amb = buildTiledDDG(2+r.intn(3), 1+r.intn(3))
+		amb = addTiledDDG(b, 2+r.intn(3), 1+r.intn(3))
 	}
 	extra := r.intn(3)
 	for k := 0; k < extra; k++ {
-		i := r.intn(g.NumNodes() - 1)
-		j := i + 1 + r.intn(g.NumNodes()-i-1)
-		g.AddArc(ddg.NodeID(i), ddg.NodeID(j))
+		i := r.intn(b.NumNodes() - 1)
+		j := i + 1 + r.intn(b.NumNodes()-i-1)
+		b.Arc(ddg.NodeID(i), ddg.NodeID(j))
 	}
-	return g, amb
+	return b.Graph(), amb
 }
 
 func TestMatchersSoundOnRandomDAGs(t *testing.T) {
@@ -91,8 +92,8 @@ func TestMatchersSoundOnRandomDAGs(t *testing.T) {
 		} else {
 			g, amb = perturbedStructured(seed)
 		}
-		if err := g.CheckAcyclic(); err != nil {
-			t.Fatalf("seed %d: generator produced a cyclic graph: %v", seed, err)
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: generator produced a malformed graph: %v", seed, err)
 		}
 		for _, v := range []*View{NodeView(g, amb), LoopView(g, amb, 1)} {
 			check := func(p *Pattern) {

@@ -54,7 +54,7 @@ func TestVerifyMapRejectsMissingIO(t *testing.T) {
 	n2 := b.node(mir.OpFMul, 1)
 	p := &Pattern{Kind: KindMap, NumFull: 2,
 		Comps: []ddg.Set{ddg.NewSet(n1), ddg.NewSet(n2)}}
-	expectVerifyError(t, VerifyMap(b.g, p), "no input")
+	expectVerifyError(t, VerifyMap(b.Graph(), p), "no input")
 }
 
 func TestVerifyLinearReductionRejectsNonAssociative(t *testing.T) {
@@ -66,10 +66,8 @@ func TestVerifyLinearReductionRejectsNonAssociative(t *testing.T) {
 	b.node(mir.OpFloor, -1, s2)
 	p := &Pattern{Kind: KindLinearReduction, Op: mir.OpFSub,
 		Comps: []ddg.Set{ddg.NewSet(s1), ddg.NewSet(s2)}}
-	expectVerifyError(t, VerifyLinearReduction(g2(b), p), "associative")
+	expectVerifyError(t, VerifyLinearReduction(b.Graph(), p), "associative")
 }
-
-func g2(b *gb) *ddg.Graph { return b.g }
 
 func TestVerifyLinearReductionRejectsWrongOrder(t *testing.T) {
 	g, adds := buildChainDDG(3)
@@ -102,15 +100,15 @@ func TestVerifyTiledReductionRejectsBrokenChanneling(t *testing.T) {
 }
 
 func TestVerifyMapReductionRejectsBrokenInterface(t *testing.T) {
-	g, m, r := buildLinearMapReduction(3)
+	b := newGB()
+	m, r := addLinearMapReduction(b, 3)
 	p := &Pattern{Kind: KindLinearMapReduction, MapPart: m, RedPart: r, Op: mir.OpFAdd}
-	if err := VerifyMapReduction(g, p); err != nil {
+	if err := VerifyMapReduction(b.Graph(), p); err != nil {
 		t.Fatalf("valid map-reduction rejected: %v", err)
 	}
 	// Add an escaping use of a map component's value.
-	extra := g.AddNode(mir.OpFloor, mir.Pos{}, 0, nil)
-	g.AddArc(m.Comps[0][0], extra)
-	expectVerifyError(t, VerifyMapReduction(g, p), "exactly one")
+	b.AddNode(mir.OpFloor, mir.Pos{}, 0, nil, m.Comps[0][0])
+	expectVerifyError(t, VerifyMapReduction(b.Graph(), p), "exactly one")
 }
 
 func TestVerifyRejectsWrongKinds(t *testing.T) {
@@ -127,16 +125,17 @@ func TestVerifyRejectsWrongKinds(t *testing.T) {
 }
 
 func TestVerifyTreeReductionNegative(t *testing.T) {
-	g, adds := buildChainDDG(3)
+	b := newGB()
+	adds := addChainDDG(b, 3)
 	// A chain is a degenerate tree and passes; a DAG with a reused value
 	// must not.
 	p := &Pattern{Kind: KindTreeReduction, Op: mir.OpFAdd,
 		Comps: []ddg.Set{ddg.NewSet(adds[0]), ddg.NewSet(adds[1]), ddg.NewSet(adds[2])}}
-	if err := VerifyTreeReduction(g, p); err != nil {
+	if err := VerifyTreeReduction(b.Graph(), p); err != nil {
 		t.Errorf("chain rejected as tree: %v", err)
 	}
-	g.AddArc(adds[0], adds[2]) // value reused by two tree nodes
-	if err := VerifyTreeReduction(g, p); err == nil {
+	b.Arc(adds[0], adds[2]) // value reused by two tree nodes
+	if err := VerifyTreeReduction(b.Graph(), p); err == nil {
 		t.Error("reused value accepted in tree")
 	}
 }

@@ -19,7 +19,7 @@ import (
 // work-split Pthreads loop and its sequential counterpart present identical
 // views. Associative-component sub-DDGs are viewed node-per-node.
 //
-// G is the whole frozen DDG, the one graph type every matcher reads; the
+// G is the whole DDG, the one graph type every matcher reads; the
 // sub-DDG is only its node set, Ambient. Only the grouping is built
 // eagerly. Group arcs, boundary flags, and labels derive lazily the first
 // time a matcher asks for them, from G's adjacency filtered through a

@@ -92,6 +92,7 @@ func TestOutOfCorePagingMetricsExported(t *testing.T) {
 	for _, name := range []string{
 		obs.MetricDDGSpills,
 		obs.MetricDDGPageFaults,
+		obs.MetricDDGPagesReadBytes,
 		obs.MetricDDGPagesSpilledBytes,
 		obs.MetricDDGPagesPeakResidentBytes,
 	} {

@@ -6,7 +6,7 @@ import (
 )
 
 // finalize merges per-thread trace buffers into one DDG with dense node
-// ids, built directly in its frozen CSR layout.
+// ids, built directly in its CSR layout.
 //
 // The merge must respect two constraints at once:
 //
@@ -30,8 +30,8 @@ import (
 //
 // Emission order is predecessor-first, so nodes stream straight into a
 // ddg.FrozenBuilder: no intermediate per-node adjacency, and the result
-// is acyclic by construction (no CheckAcyclic pass needed). Finalization
-// does no compaction: the frozen graph derives its loop-iteration groups
+// is acyclic by construction (no separate cycle check). Finalization
+// does no compaction: the graph derives its loop-iteration groups
 // from the recorded scope chains on first use (ddg.Graph.LoopIterIndex).
 //
 // Buffers produced by the VM hot path are well-formed by construction, but

@@ -182,8 +182,8 @@ func (b *Builder) StoreShadow(addr int64, def ddg.NodeID) { b.shadow.store(addr,
 
 // Graph finalizes the per-thread buffers into the merged DDG and returns
 // it. It must only be called after the traced execution has finished; the
-// first call performs the merge (and freezes the graph into its CSR
-// layout) inside a finalize-stage recover boundary, later calls return the
+// first call performs the merge (building the graph in its CSR layout)
+// inside a finalize-stage recover boundary, later calls return the
 // same outcome. Malformed buffers — dangling operand references, operand
 // cycles — come back as *analysis.Error values, never as panics.
 func (b *Builder) Graph() (*ddg.Graph, error) {
@@ -262,7 +262,7 @@ func Run(prog *mir.Program, opts ...vm.Option) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: running %q: %w", prog.Name, err)
 	}
-	// No CheckAcyclic pass: finalization emits predecessor-first into a
+	// No cycle check: finalization emits predecessor-first into a
 	// ddg.FrozenBuilder, which rejects any arc that does not flow forward,
 	// so the merged DDG is acyclic by construction.
 	g, err := b.Graph()
