@@ -40,13 +40,10 @@ func main() {
 		memBudget  = flag.Int64("trace-memory-budget", 0, "per-request resident DDG arc-byte budget; larger graphs page through unlinked spill files (0 = fully resident)")
 		spillDir   = flag.String("ddg-spill-dir", "", "directory for DDG spill files (default: the system temp dir)")
 
-		// Resilience: retry/breaker/fallback around the store, admission
-		// brownout, and the deterministic fault-injection seam.
-		noResilience  = flag.Bool("no-resilience", false, "use the store bare: no retry, breaker, or memory fallback")
-		storeRetries  = flag.Int("store-retries", 3, "total tries per store operation")
-		storeRetryMin = flag.Duration("store-retry-base", 10*time.Millisecond, "backoff before the first store retry (doubles, capped)")
-		brkThreshold  = flag.Int("breaker-threshold", 5, "consecutive store failures that trip the circuit breaker")
-		brkCooldown   = flag.Duration("breaker-cooldown", 15*time.Second, "how long a tripped breaker fails fast before probing")
+		// Resilience: retries around the store, admission brownout, and
+		// the deterministic fault-injection seam.
+		storeRetries  = flag.Int("store-retries", 3, "total tries per store operation (1 = the bare store)")
+		storeRetryMin = flag.Duration("store-retry-base", 10*time.Millisecond, "backoff before the first store retry (doubles, capped at 50x)")
 		noBrownout    = flag.Bool("no-brownout", false, "disable admission brownout (pressure-clamped budgets)")
 		brownoutAt    = flag.Float64("brownout-threshold", 0.75, "queue occupancy where budget clamping starts")
 		brownoutMin   = flag.Float64("brownout-min", 0.1, "budget fraction still granted at 100% queue occupancy")
@@ -82,11 +79,8 @@ func main() {
 		SpillDir:         *spillDir,
 		Store:            st,
 		Resilience: server.ResilienceConfig{
-			Disable:          *noResilience,
-			RetryAttempts:    *storeRetries,
-			RetryBase:        *storeRetryMin,
-			BreakerThreshold: *brkThreshold,
-			BreakerCooldown:  *brkCooldown,
+			RetryAttempts: *storeRetries,
+			RetryBase:     *storeRetryMin,
 		},
 		Brownout: server.BrownoutConfig{
 			Disable:     *noBrownout,

@@ -350,8 +350,9 @@ type Figure7Result struct {
 	Slope float64
 }
 
-// scaleParams grows a benchmark's analysis input by the given factor.
-func scaleParams(b *starbench.Benchmark, factor int64) starbench.Params {
+// ScaleParams grows a benchmark's analysis input by the given factor: the
+// Figure 7 scale ladder.
+func ScaleParams(b *starbench.Benchmark, factor int64) starbench.Params {
 	p := starbench.Params{}
 	for k, v := range b.Analysis {
 		p[k] = v
@@ -385,7 +386,7 @@ func RunFigure7(opts core.Options, factors []int64) (*Figure7Result, error) {
 	for _, b := range starbench.All() {
 		for _, v := range starbench.Versions() {
 			for _, f := range factors {
-				par := scaleParams(b, f)
+				par := ScaleParams(b, f)
 				built := b.Build(v, par)
 				start := time.Now()
 				tr, err := trace.Run(built.Prog)

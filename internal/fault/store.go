@@ -10,8 +10,8 @@ import (
 )
 
 // Store wraps inner with the plan's scripted store faults. The decorator
-// sits below the resilience stack (retry → breaker → fallback), standing
-// in for the unreliable device those layers exist to survive.
+// sits below the server's Retry layer, standing in for the unreliable
+// device it exists to survive.
 func (p *Plan) Store(inner store.Store) store.Store {
 	return &faultStore{plan: p, inner: inner}
 }
@@ -103,3 +103,13 @@ func (f *faultStore) Len() (int, error) {
 }
 
 func (f *faultStore) Close() error { return f.inner.Close() }
+
+// Quarantined forwards the backend's quarantine count, so /healthz and
+// /stats report a disk store's recoveries under a plan as they do
+// without one. Backends that quarantine nothing report 0.
+func (f *faultStore) Quarantined() int {
+	if q, ok := f.inner.(interface{ Quarantined() int }); ok {
+		return q.Quarantined()
+	}
+	return 0
+}

@@ -285,8 +285,8 @@ func (s *Server) process(ctx context.Context, req *Request, queueWait time.Durat
 	// to a finished result, so neither the tracer nor the finder runs.
 	if useStore {
 		info.Status = "miss"
-		if idx, ok, err := s.st.Get(store.RequestKey(reqFP)); err == nil && ok {
-			if res, ok, err := s.st.Get(idx.Target); err == nil && ok {
+		if idx, ok := s.storeGet(store.RequestKey(reqFP)); ok {
+			if res, ok := s.storeGet(idx.Target); ok {
 				s.reg.Count(obs.MetricServerStoreHits, 1)
 				info.Status = "hit"
 				return s.warmResponse(req, res, info, diag, start), nil
@@ -352,7 +352,7 @@ func (s *Server) process(ctx context.Context, req *Request, queueWait time.Durat
 	// identical graph; its stored result answers this request too. The
 	// index entry written here lets the next resubmission skip the trace.
 	if useStore {
-		if res, ok, err := s.st.Get(resultKey); err == nil && ok {
+		if res, ok := s.storeGet(resultKey); ok {
 			s.putIndex(reqFP, resultKey)
 			s.reg.Count(obs.MetricServerStoreHits, 1)
 			info.Status = "hit_after_trace"
@@ -413,7 +413,7 @@ func (s *Server) process(ctx context.Context, req *Request, queueWait time.Durat
 			ElapsedMS:   diag.ElapsedMS,
 			CreatedAt:   time.Now().UTC(),
 		}
-		if err := s.st.Put(entry); err == nil {
+		if s.storePut(entry) {
 			s.putIndex(reqFP, resultKey)
 		}
 	}
@@ -459,7 +459,7 @@ func (s *Server) warmResponse(req *Request, e *store.Entry, info StoreInfo, diag
 // result. Failures are deliberately ignored: the index is a shortcut, and
 // the result entry alone still answers post-trace lookups.
 func (s *Server) putIndex(reqFP, resultKey string) {
-	_ = s.st.Put(&store.Entry{
+	s.storePut(&store.Entry{
 		Key:       store.RequestKey(reqFP),
 		Target:    resultKey,
 		CreatedAt: time.Now().UTC(),

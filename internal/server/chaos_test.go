@@ -14,7 +14,7 @@ import (
 )
 
 // The chaos harness drives the real serving stack — admission queue,
-// workers, resilient store, phase hooks — through scripted fault plans
+// workers, retrying store, phase hooks — through scripted fault plans
 // (testdata/faultplans) and checks the tentpole invariant on every
 // response: its answer is byte-identical to the fault-free run's, or it
 // is explicitly degraded (Degraded/Interrupted/BrownoutMS in
@@ -53,13 +53,24 @@ var chaosRequests = []string{
 	`{"bench":"md5","version":"pthreads"}`,
 }
 
-// chaosResilience is the production stack with test-speed timings.
+// chaosResilience is the production Retry layer with test-speed timings.
 func chaosResilience() ResilienceConfig {
-	return ResilienceConfig{
-		RetryAttempts:    3,
-		RetryBase:        time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  10 * time.Second,
+	return ResilienceConfig{RetryAttempts: 3, RetryBase: time.Millisecond}
+}
+
+// getJSON decodes a GET endpoint's JSON body into out.
+func getJSON(t *testing.T, ts *httptest.Server, path string, out any) {
+	t.Helper()
+	r, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode != 200 {
+		t.Fatalf("GET %s: status %d", path, r.StatusCode)
+	}
+	if err := json.NewDecoder(r.Body).Decode(out); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
 	}
 }
 
@@ -141,23 +152,26 @@ func TestChaosPlans(t *testing.T) {
 			}
 			// The daemon survived its plan: still serving, still healthy
 			// enough to say so.
-			hr, err := http.Get(ts.URL + "/healthz")
-			if err != nil {
-				t.Fatalf("daemon dead after plan: %v", err)
-			}
-			hr.Body.Close()
-			if hr.StatusCode != 200 {
-				t.Fatalf("healthz %d after plan", hr.StatusCode)
+			getJSON(t, ts, "/healthz", new(map[string]any))
+			// The plan's store decorator must not hide the disk's
+			// quarantine count from the operator.
+			var stats statsJSON
+			getJSON(t, ts, "/stats", &stats)
+			if stats.StoreQuarantined != disk.Quarantined() {
+				t.Fatalf("/stats store_quarantined %d, disk quarantined %d",
+					stats.StoreQuarantined, disk.Quarantined())
 			}
 		})
 	}
 }
 
-// TestChaosBreakerTripServesWarmFromFallback is the degraded-serving
-// acceptance path: with the primary store persistently failing, the
-// breaker trips and the daemon keeps answering — the second identical
-// request is served warm from the memory fallback with zero solver runs.
-func TestChaosBreakerTripServesWarmFromFallback(t *testing.T) {
+// TestChaosStoreOutageServesWarmFromViewCache is the degraded-serving
+// acceptance path: with every store operation failing, each one is a
+// miss after its retries and the daemon keeps answering. The identical
+// resubmission re-traces, but the shared ViewCache already holds every
+// verdict, so it is answered with zero solver runs and the fault-free
+// answer; /healthz and /metrics tell the operator the store is failing.
+func TestChaosStoreOutageServesWarmFromViewCache(t *testing.T) {
 	baseline := chaosBaseline(t)
 	plan, err := fault.Load("testdata/faultplans/breaker-trip.json")
 	if err != nil {
@@ -186,35 +200,27 @@ func TestChaosBreakerTripServesWarmFromFallback(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("warm run under store outage: status %d", code)
 	}
-	if warm.Store.Status != "hit" || warm.Diagnostics.SolverRuns != 0 {
-		t.Fatalf("warm run not served from the fallback: store %q, solver_runs %d",
+	if warm.Store.Status != "miss" || warm.Diagnostics.SolverRuns != 0 {
+		t.Fatalf("warm run not answered from the ViewCache: store %q, solver_runs %d",
 			warm.Store.Status, warm.Diagnostics.SolverRuns)
 	}
 	if !bytes.Equal(chaosAnswer(t, warm.Report), baseline[req]) {
-		t.Fatal("fallback-served answer differs from the fault-free run")
-	}
-
-	if st := s.breaker.State(); st != store.BreakerOpen {
-		t.Fatalf("breaker state %v after persistent failures, want open", st)
-	}
-	if s.breaker.Trips() == 0 || s.fallback.DegradedOps() == 0 {
-		t.Fatalf("resilience accounting empty: trips %d degraded ops %d",
-			s.breaker.Trips(), s.fallback.DegradedOps())
+		t.Fatal("answer under store outage differs from the fault-free run")
 	}
 
 	// /healthz reports the rung: still serving, but degraded.
-	hr, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var health struct {
-		Status  string `json:"status"`
-		Breaker string `json:"store_breaker"`
+		Status       string `json:"status"`
+		StoreFailing bool   `json:"store_failing"`
 	}
-	json.NewDecoder(hr.Body).Decode(&health)
-	hr.Body.Close()
-	if health.Status != "degraded" || health.Breaker != "open" {
+	getJSON(t, ts, "/healthz", &health)
+	if health.Status != "degraded" || !health.StoreFailing {
 		t.Fatalf("healthz under outage: %+v", health)
+	}
+	counters := s.Metrics().Counters()
+	if counters["discovery_server_store_errors_total"] == 0 || counters["discovery_server_store_retries_total"] == 0 {
+		t.Fatalf("outage accounting empty: store errors %d retries %d",
+			counters["discovery_server_store_errors_total"], counters["discovery_server_store_retries_total"])
 	}
 }
 

@@ -7,26 +7,17 @@ import (
 	"discovery/internal/store"
 )
 
-// ResilienceConfig tunes the store resilience stack the server builds
-// around Config.Store: retry (capped exponential backoff + jitter) feeding
-// a circuit breaker, with an in-memory fallback absorbing whatever still
-// fails. The zero value enables the stack with serving defaults; Disable
-// opts out (the raw store is used as given — tests that script store
-// behaviour byte-for-byte want this).
+// ResilienceConfig tunes the Retry layer the server wraps around
+// Config.Store (capped exponential backoff + deterministic jitter). The
+// zero value retries with serving defaults; RetryAttempts 1 uses the
+// store bare. A store operation that still fails is a miss: the request
+// recomputes, and the failure is counted and surfaced on /healthz.
 type ResilienceConfig struct {
-	// Disable uses Config.Store bare, with no retry/breaker/fallback.
-	Disable bool
 	// RetryAttempts is the total tries per store operation. Default 3.
 	RetryAttempts int
 	// RetryBase is the backoff before the first retry (doubling, capped
 	// at 50× itself). Default 10ms.
 	RetryBase time.Duration
-	// BreakerThreshold is how many consecutive retry-exhausted operations
-	// trip the breaker. Default 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker fails fast before
-	// probing the backend again. Default 15s.
-	BreakerCooldown time.Duration
 }
 
 // BrownoutConfig tunes admission brownout: under queue pressure the server
@@ -70,50 +61,29 @@ func (c BrownoutConfig) factor(occupancy float64) float64 {
 	return 1 - (occupancy-c.Threshold)/span*(1-c.MinFraction)
 }
 
-// buildResilientStore wraps the configured store in the resilience stack —
-// Fallback(Breaker(Retry(store)), memory) — wiring each layer's
-// observability hooks into the daemon registry. The fallback is the store
-// the server serves from; the breaker handle feeds /healthz and /stats.
-func (s *Server) buildResilientStore(raw store.Store) (*store.Breaker, *store.Fallback) {
-	rc := s.cfg.Resilience
-	attempts := rc.RetryAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	base := rc.RetryBase
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	threshold := rc.BreakerThreshold
-	if threshold <= 0 {
-		threshold = 5
-	}
-	cooldown := rc.BreakerCooldown
-	if cooldown <= 0 {
-		cooldown = 15 * time.Second
-	}
+// storeGet looks key up in the result store. The store is a memo of a
+// deterministic analysis, so an error is a miss: it is counted and
+// flagged on /healthz, and the request recomputes.
+func (s *Server) storeGet(key string) (*store.Entry, bool) {
+	e, ok, err := s.st.Get(key)
+	s.noteStore(err)
+	return e, err == nil && ok
+}
 
-	retry := store.NewRetry(raw, store.RetryConfig{
-		Attempts:  attempts,
-		BaseDelay: base,
-		MaxDelay:  50 * base,
-		OnRetry: func(op string, attempt int, err error) {
-			s.reg.Count(obs.MetricServerStoreRetries, 1)
-		},
-	})
-	breaker := store.NewBreaker(retry, store.BreakerConfig{
-		Threshold: threshold,
-		Cooldown:  cooldown,
-		OnStateChange: func(from, to store.BreakerState) {
-			s.reg.Gauge(obs.MetricServerBreakerState, float64(to))
-			if to == store.BreakerOpen {
-				s.reg.Count(obs.MetricServerBreakerTrips, 1)
-			}
-		},
-	})
-	fallback := store.NewFallback(breaker, store.NewMemory(), func(op string, err error) {
-		s.reg.Count(obs.MetricServerStoreFallback, 1)
-	})
-	s.reg.Gauge(obs.MetricServerBreakerState, float64(store.BreakerClosed))
-	return breaker, fallback
+// storePut memoizes e, reporting whether it was stored.
+func (s *Server) storePut(e *store.Entry) bool {
+	err := s.st.Put(e)
+	s.noteStore(err)
+	return err == nil
+}
+
+// noteStore records one store operation's outcome after Retry:
+// store_failing on /healthz follows the most recent operation, and
+// failures count into /stats store_errors and the errors metric.
+func (s *Server) noteStore(err error) {
+	s.storeFailing.Store(err != nil)
+	if err != nil {
+		s.storeErrors.Add(1)
+		s.reg.Count(obs.MetricServerStoreErrors, 1)
+	}
 }

@@ -68,9 +68,8 @@ type Config struct {
 	// Store persists results across requests (nil disables memoization;
 	// the ViewCache still warms).
 	Store store.Store
-	// Resilience tunes the retry/breaker/fallback stack wrapped around
-	// Store. Zero value = enabled with defaults; set Disable to use Store
-	// bare.
+	// Resilience tunes the Retry layer wrapped around Store. Zero value =
+	// retries with defaults.
 	Resilience ResilienceConfig
 	// Brownout tunes admission-pressure budget clamping. Zero value =
 	// enabled with defaults.
@@ -118,15 +117,9 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	cache *core.ViewCache
-	st    store.Store // nil = no store; else the resilient stack (or raw when disabled)
+	st    store.Store // nil = no store; else Retry over Config.Store
 	reg   *obs.Registry
 	pool  *sched.Pool // shared solve scheduler: one pool across all requests
-
-	// breaker and fallback are handles into the resilient store stack
-	// (nil when Resilience.Disable or no store): breaker state feeds
-	// /healthz, fallback's degraded-op count feeds /stats.
-	breaker  *store.Breaker
-	fallback *store.Fallback
 
 	queue chan *job
 	wg    sync.WaitGroup
@@ -139,6 +132,11 @@ type Server struct {
 	cancelled atomic.Int64
 	brownouts atomic.Int64
 
+	// storeFailing is whether the most recent store operation failed
+	// after its retries (/healthz); storeErrors counts such operations.
+	storeFailing atomic.Bool
+	storeErrors  atomic.Int64
+
 	closeOnce sync.Once
 }
 
@@ -149,7 +147,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   core.NewViewCacheSized(cfg.CacheGenerations),
-		st:      cfg.Store,
 		reg:     obs.NewRegistry(),
 		queue:   make(chan *job, cfg.QueueDepth),
 		mux:     http.NewServeMux(),
@@ -159,9 +156,14 @@ func New(cfg Config) *Server {
 	// registry, so pool gauges and counters surface in /metrics without
 	// polluting any request's phase tree.
 	s.pool = sched.NewPool(cfg.SchedWorkers, &teeRecorder{spans: obs.Nop, reg: s.reg})
-	if cfg.Store != nil && !cfg.Resilience.Disable {
-		s.breaker, s.fallback = s.buildResilientStore(cfg.Store)
-		s.st = s.fallback
+	if cfg.Store != nil {
+		s.st = store.NewRetry(cfg.Store, store.RetryConfig{
+			Attempts:  cfg.Resilience.RetryAttempts,
+			BaseDelay: cfg.Resilience.RetryBase,
+			OnRetry: func(op string, attempt int, err error) {
+				s.reg.Count(obs.MetricServerStoreRetries, 1)
+			},
+		})
 	}
 	s.mux.HandleFunc("/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -236,10 +238,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports liveness plus the degradation ladder's current
-// rung: "ok" (full service), "degraded" (still answering, but the store
-// breaker is not closed and/or brownout is clamping budgets). The daemon
-// never reports unhealthy while it can serve — degraded-but-available is
-// the whole point of the resilience stack.
+// rung: "ok" (full service), "degraded" (still answering, but the last
+// store operation failed and/or brownout is clamping budgets). The daemon
+// never reports unhealthy while it can serve: a failing store only costs
+// recomputes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	occupancy := float64(len(s.queue)) / float64(cap(s.queue))
 	brownout := s.cfg.Brownout.factor(occupancy) < 1
@@ -256,10 +258,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if brownout {
 		status = "degraded"
 	}
-	if s.breaker != nil {
-		st := s.breaker.State()
-		out["store_breaker"] = st.String()
-		if st != store.BreakerClosed {
+	if s.st != nil {
+		failing := s.storeFailing.Load()
+		out["store_failing"] = failing
+		if failing {
 			status = "degraded"
 		}
 	}
@@ -285,11 +287,10 @@ type statsJSON struct {
 	Cache     core.CacheSnapshot `json:"cache"`
 	StoreLen  int                `json:"store_len"`
 	StoreKind string             `json:"store_kind"`
-	// Resilience accounting (zero / "disabled" without a resilient store).
-	BreakerState     string `json:"breaker_state,omitempty"`
-	BreakerTrips     int64  `json:"breaker_trips"`
-	StoreDegradedOps int64  `json:"store_degraded_ops"`
-	StoreQuarantined int    `json:"store_quarantined"`
+	// StoreErrors counts store operations that failed after their
+	// retries, each answered as a miss.
+	StoreErrors      int64 `json:"store_errors"`
+	StoreQuarantined int   `json:"store_quarantined"`
 }
 
 // schedJSON is the /stats projection of the shared solve pool: capacity,
@@ -338,17 +339,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.st != nil {
 		out.StoreKind = fmt.Sprintf("%T", s.cfg.Store)
-		if n, err := s.st.Len(); err == nil {
-			out.StoreLen = n
-		}
+		n, err := s.st.Len()
+		s.noteStore(err)
+		out.StoreLen = n
 	}
-	if s.breaker != nil {
-		out.BreakerState = s.breaker.State().String()
-		out.BreakerTrips = s.breaker.Trips()
-	}
-	if s.fallback != nil {
-		out.StoreDegradedOps = s.fallback.DegradedOps()
-	}
+	out.StoreErrors = s.storeErrors.Load()
 	if q, ok := s.cfg.Store.(interface{ Quarantined() int }); ok {
 		out.StoreQuarantined = q.Quarantined()
 	}

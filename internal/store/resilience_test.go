@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -54,7 +53,7 @@ func (f *flaky) Len() (int, error) {
 	return f.Store.Len()
 }
 
-func noSleep(ctx context.Context, d time.Duration) {}
+func noSleep(time.Duration) {}
 
 func TestRetryRecoversTransientFailures(t *testing.T) {
 	inner := &flaky{Store: NewMemory(), fail: 2}
@@ -110,221 +109,52 @@ func TestRetryDoesNotRetryPermanentErrors(t *testing.T) {
 	}
 }
 
-func TestRetryContextAware(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already dead: the first failure must not back off at all
-	inner := &flaky{Store: NewMemory(), fail: 100}
-	slept := false
-	r := NewRetry(inner, RetryConfig{
-		Attempts: 5,
-		Ctx:      ctx,
-		Sleep:    func(context.Context, time.Duration) { slept = true },
-	})
-	start := time.Now()
-	_, _, err := r.Get("res-a-b")
-	if !errors.Is(err, analysis.ErrTransient) {
-		t.Fatalf("cancelled retry returned %v", err)
-	}
-	if slept {
-		t.Error("retry slept after its context was cancelled")
-	}
-	if inner.calls != 1 {
-		t.Errorf("backend saw %d calls after cancellation, want 1", inner.calls)
-	}
-	if time.Since(start) > time.Second {
-		t.Error("cancelled retry took a real backoff")
-	}
-}
-
 func TestRetryJitterDeterministic(t *testing.T) {
-	sample := func(seed uint64) []time.Duration {
-		r := NewRetry(NewMemory(), RetryConfig{Seed: seed})
-		var out []time.Duration
-		for i := 0; i < 8; i++ {
-			out = append(out, r.jitter(100*time.Millisecond))
+	// Two fresh Retry stores over the same failure pattern sleep the same
+	// schedule: the jitter stream has a fixed seed.
+	schedule := func() []time.Duration {
+		var slept []time.Duration
+		r := NewRetry(&flaky{Store: NewMemory(), fail: 100}, RetryConfig{
+			Attempts:  4,
+			BaseDelay: 100 * time.Millisecond,
+			Sleep:     func(d time.Duration) { slept = append(slept, d) },
+		})
+		for i := 0; i < 3; i++ {
+			r.Get("res-a-b")
 		}
-		return out
+		return slept
 	}
-	a, b := sample(7), sample(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at %d: %v vs %v", i, a[i], b[i])
+	a, b := schedule(), schedule()
+	if len(a) != 9 {
+		t.Fatalf("slept %d times, want 9 (3 ops × 3 retries)", len(a))
+	}
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("fresh Retry stores diverged:\n%v\n%v", a, b)
+	}
+	for i, d := range a {
+		base := 100 * time.Millisecond << (i % 3)
+		if d < base/2 || d >= base {
+			t.Fatalf("sleep %d = %v outside [%v, %v)", i, d, base/2, base)
 		}
-		if a[i] < 50*time.Millisecond || a[i] >= 100*time.Millisecond {
-			t.Fatalf("jitter %v outside [d/2, d)", a[i])
-		}
-	}
-	if fmt.Sprint(a) == fmt.Sprint(sample(8)) {
-		t.Error("different seeds produced identical jitter streams")
 	}
 }
 
-// clock is a manual time source for breaker cooldown tests.
-type clock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *clock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *clock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func TestBreakerTripsAndRecovers(t *testing.T) {
-	ck := &clock{t: time.Unix(1000, 0)}
-	inner := &flaky{Store: NewMemory(), fail: 3}
-	var transitions []string
-	b := NewBreaker(inner, BreakerConfig{
-		Threshold: 3,
-		Cooldown:  10 * time.Second,
-		OnStateChange: func(from, to BreakerState) {
-			transitions = append(transitions, fmt.Sprintf("%s>%s", from, to))
-		},
-		now: ck.now,
+func TestRetryCapsBackoff(t *testing.T) {
+	var slept []time.Duration
+	r := NewRetry(&flaky{Store: NewMemory(), fail: 100}, RetryConfig{
+		Attempts:  10,
+		BaseDelay: time.Millisecond,
+		Sleep:     func(d time.Duration) { slept = append(slept, d) },
 	})
-
-	// Three consecutive failures trip it.
-	for i := 0; i < 3; i++ {
-		if _, _, err := b.Get("res-a-b"); err == nil {
-			t.Fatalf("failure %d unexpectedly succeeded", i)
+	r.Put(&Entry{Key: "res-a-b"})
+	// Delays double from 1ms: 1, 2, 4, ..., 32, then cap at 50ms.
+	for i, d := range slept {
+		if d >= 50*time.Millisecond {
+			t.Fatalf("sleep %d = %v, not below the 50×BaseDelay cap", i, d)
 		}
 	}
-	if b.State() != BreakerOpen || b.Trips() != 1 {
-		t.Fatalf("after threshold: state=%v trips=%d", b.State(), b.Trips())
-	}
-
-	// Open: fail fast, backend untouched.
-	before := inner.calls
-	if _, _, err := b.Get("res-a-b"); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open breaker returned %v, want ErrBreakerOpen", err)
-	}
-	if inner.calls != before {
-		t.Error("open breaker touched the backend")
-	}
-
-	// Cooldown elapses: the probe goes through (backend healthy now) and
-	// the breaker closes.
-	ck.advance(11 * time.Second)
-	if _, _, err := b.Get("res-a-b"); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("after successful probe: state=%v", b.State())
-	}
-	want := "[closed>open open>half-open half-open>closed]"
-	if got := fmt.Sprint(transitions); got != want {
-		t.Errorf("transitions %v, want %v", got, want)
-	}
-}
-
-func TestBreakerFailedProbeReopens(t *testing.T) {
-	ck := &clock{t: time.Unix(1000, 0)}
-	inner := &flaky{Store: NewMemory(), fail: 100}
-	b := NewBreaker(inner, BreakerConfig{Threshold: 1, Cooldown: time.Second, now: ck.now})
-	b.Get("res-a-b") // trips
-	ck.advance(2 * time.Second)
-	if _, _, err := b.Get("res-a-b"); err == nil {
-		t.Fatal("probe against a dead backend succeeded")
-	}
-	if b.State() != BreakerOpen || b.Trips() != 2 {
-		t.Fatalf("failed probe: state=%v trips=%d", b.State(), b.Trips())
-	}
-}
-
-func TestBreakerIgnoresCallerFaults(t *testing.T) {
-	b := NewBreaker(NewMemory(), BreakerConfig{Threshold: 1})
-	for i := 0; i < 5; i++ {
-		if err := b.Put(&Entry{Key: "bad key!"}); !errors.Is(err, ErrInvalid) {
-			t.Fatalf("invalid put returned %v", err)
-		}
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("caller faults tripped the breaker: state=%v", b.State())
-	}
-}
-
-func TestBreakerSuccessResetsFailureCount(t *testing.T) {
-	inner := &flaky{Store: NewMemory()}
-	b := NewBreaker(inner, BreakerConfig{Threshold: 2})
-	fail := func() {
-		inner.mu.Lock()
-		inner.fail = 1
-		inner.mu.Unlock()
-		b.Get("res-a-b")
-	}
-	fail()
-	if _, _, err := b.Get("res-a-b"); err != nil { // success resets the streak
-		t.Fatal(err)
-	}
-	fail()
-	if b.State() != BreakerClosed {
-		t.Fatal("non-consecutive failures tripped the breaker")
-	}
-	fail()
-	if b.State() != BreakerOpen {
-		t.Fatal("consecutive failures did not trip the breaker")
-	}
-}
-
-func TestFallbackAbsorbsPrimaryFailures(t *testing.T) {
-	primary := &flaky{Store: NewMemory(), fail: 100}
-	secondary := NewMemory()
-	var ops []string
-	f := NewFallback(primary, secondary, func(op string, err error) { ops = append(ops, op) })
-
-	e := &Entry{Key: "res-a-b", Patterns: 2}
-	if err := f.Put(e); err != nil {
-		t.Fatalf("put with dead primary: %v", err)
-	}
-	got, ok, err := f.Get("res-a-b")
-	if err != nil || !ok || got.Patterns != 2 {
-		t.Fatalf("get with dead primary: ok=%v err=%v got=%+v", ok, err, got)
-	}
-	if n, err := f.Len(); err != nil || n != 1 {
-		t.Fatalf("len with dead primary: n=%d err=%v", n, err)
-	}
-	if f.DegradedOps() != 3 || fmt.Sprint(ops) != "[put get len]" {
-		t.Errorf("degraded accounting: %d ops %v", f.DegradedOps(), ops)
-	}
-}
-
-func TestFallbackSecondLookOnPrimaryMiss(t *testing.T) {
-	// An entry written during a degraded window lives only in the
-	// secondary; after the primary recovers, a clean primary miss must
-	// still find it.
-	primary := NewMemory()
-	secondary := NewMemory()
-	secondary.Put(&Entry{Key: "res-a-b", Patterns: 7})
-	f := NewFallback(primary, secondary, nil)
-	got, ok, err := f.Get("res-a-b")
-	if err != nil || !ok || got.Patterns != 7 {
-		t.Fatalf("second look: ok=%v err=%v got=%+v", ok, err, got)
-	}
-	if f.DegradedOps() != 0 {
-		t.Error("healthy-primary miss counted as degradation")
-	}
-}
-
-func TestFallbackPrefersHealthyPrimary(t *testing.T) {
-	primary := NewMemory()
-	primary.Put(&Entry{Key: "res-a-b", Patterns: 1})
-	secondary := &flaky{Store: NewMemory(), fail: 100}
-	f := NewFallback(primary, secondary, nil)
-	if got, ok, err := f.Get("res-a-b"); err != nil || !ok || got.Patterns != 1 {
-		t.Fatalf("primary hit: ok=%v err=%v", ok, err)
-	}
-	if err := f.Put(&Entry{Key: "res-c-d"}); err != nil {
-		t.Fatalf("primary put: %v", err)
-	}
-	if f.DegradedOps() != 0 {
-		t.Error("healthy primary operations touched the secondary")
+	if last := slept[len(slept)-1]; last < 25*time.Millisecond {
+		t.Fatalf("last sleep %v, want the capped [25ms, 50ms)", last)
 	}
 }
 
@@ -402,41 +232,42 @@ func TestDiskStartupScanRecoversCrashDebris(t *testing.T) {
 }
 
 func TestResilientChainEndToEnd(t *testing.T) {
-	// The full production stack: Fallback(Breaker(Retry(flaky-disk)), mem).
-	// A burst of failures longer than the retry budget trips the breaker;
-	// service continues through the secondary; after cooldown the probe
-	// closes the breaker and the primary serves again.
-	ck := &clock{t: time.Unix(1000, 0)}
-	inner := &flaky{Store: NewMemory(), fail: 100}
-	r := NewRetry(inner, RetryConfig{Attempts: 2, Sleep: noSleep})
-	b := NewBreaker(r, BreakerConfig{Threshold: 2, Cooldown: time.Second, now: ck.now})
-	f := NewFallback(b, NewMemory(), nil)
-
-	if err := f.Put(&Entry{Key: "res-a-b", Patterns: 3}); err != nil {
+	// The production stack is Retry over the disk store. A failure burst
+	// longer than the retry budget surfaces as an error — a miss to the
+	// caller, which recomputes — and the same Retry serves again once the
+	// backend heals, with nothing from the outage window to reconcile.
+	disk, err := NewDisk(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Put(&Entry{Key: "res-c-d"})
-	if b.State() != BreakerOpen {
-		t.Fatalf("breaker after failure burst: %v", b.State())
+	defer disk.Close()
+	inner := &flaky{Store: disk, fail: 100}
+	r := NewRetry(inner, RetryConfig{Attempts: 2, Sleep: noSleep})
+
+	if err := r.Put(&Entry{Key: "res-a-b", Patterns: 3}); !errors.Is(err, analysis.ErrTransient) {
+		t.Fatalf("put during outage returned %v, want the transient backend error", err)
 	}
-	// Degraded serving: the spilled entry answers through the secondary.
-	if got, ok, err := f.Get("res-a-b"); err != nil || !ok || got.Patterns != 3 {
-		t.Fatalf("degraded get: ok=%v err=%v", ok, err)
+	if _, ok, err := r.Get("res-a-b"); err == nil || ok {
+		t.Fatalf("get during outage: ok=%v err=%v, want an error", ok, err)
+	}
+	if r.Retries() != 2 || inner.calls != 4 {
+		t.Fatalf("outage accounting: retries %d backend calls %d, want 2 and 4", r.Retries(), inner.calls)
 	}
 
-	// Backend heals; cooldown elapses; probe closes the breaker.
+	// The backend heals: the lost put is recomputed and lands durably.
 	inner.mu.Lock()
 	inner.fail = 0
 	inner.mu.Unlock()
-	ck.advance(2 * time.Second)
-	if err := f.Put(&Entry{Key: "res-e-f"}); err != nil {
+	if _, ok, err := r.Get("res-a-b"); err != nil || ok {
+		t.Fatalf("get after heal: ok=%v err=%v, want a clean miss", ok, err)
+	}
+	if err := r.Put(&Entry{Key: "res-a-b", Patterns: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("breaker after recovery: %v", b.State())
+	if got, ok, err := r.Get("res-a-b"); err != nil || !ok || got.Patterns != 3 {
+		t.Fatalf("get after recompute: ok=%v err=%v got=%+v", ok, err, got)
 	}
-	// The degraded-window entry is still visible via the second look.
-	if _, ok, err := f.Get("res-a-b"); err != nil || !ok {
-		t.Fatalf("spilled entry lost after recovery: ok=%v err=%v", ok, err)
+	if n, err := r.Len(); err != nil || n != 1 {
+		t.Fatalf("len after heal: n=%d err=%v", n, err)
 	}
 }

@@ -1,12 +1,9 @@
 package store
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"time"
-
-	"discovery/internal/analysis"
 )
 
 // RetryConfig tunes the Retry decorator. The zero value is usable: every
@@ -15,29 +12,19 @@ type RetryConfig struct {
 	// Attempts is the total tries per operation, first included. Default 3.
 	Attempts int
 	// BaseDelay is the backoff before the first retry; each further retry
-	// doubles it, capped at MaxDelay. Defaults 10ms / 500ms.
+	// doubles it, capped at 50× BaseDelay. Default 10ms.
 	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Seed seeds the deterministic jitter stream (splitmix64). Two Retry
-	// stores with the same seed and the same failure pattern sleep the
-	// same schedule — which is what lets the chaos tests assert timing-
-	// adjacent behaviour reproducibly. Default 1.
-	Seed uint64
-	// Ctx, when non-nil, aborts backoff sleeps when cancelled (daemon
-	// shutdown): the in-flight operation returns its last error instead
-	// of sleeping into a dead process.
-	Ctx context.Context
-	// Retryable decides which errors are worth another attempt. The
-	// default retries transient-typed errors (analysis.ErrTransient) and
-	// unknown I/O errors, and never retries ErrInvalid or ErrClosed.
-	Retryable func(error) bool
 	// OnRetry observes each retry (op is "get", "put", or "len") before
 	// its backoff sleep; the server wires it to a counter.
 	OnRetry func(op string, attempt int, err error)
 	// Sleep stands in for time.Sleep in tests. The function receives the
-	// jittered delay and the cancellation context (never nil).
-	Sleep func(ctx context.Context, d time.Duration)
+	// jittered delay.
+	Sleep func(d time.Duration)
 }
+
+// jitterSeed seeds every Retry's jitter stream, so two Retry stores that
+// see the same failure pattern sleep the same schedule.
+const jitterSeed = 1
 
 func (c RetryConfig) withDefaults() RetryConfig {
 	if c.Attempts <= 0 {
@@ -46,46 +33,26 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	if c.BaseDelay <= 0 {
 		c.BaseDelay = 10 * time.Millisecond
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 500 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Ctx == nil {
-		c.Ctx = context.Background()
-	}
-	if c.Retryable == nil {
-		c.Retryable = DefaultRetryable
-	}
 	if c.Sleep == nil {
-		c.Sleep = func(ctx context.Context, d time.Duration) {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-		}
+		c.Sleep = time.Sleep
 	}
 	return c
 }
 
-// DefaultRetryable is the default retry predicate: permanent contract
-// failures (ErrInvalid) and terminal states (ErrClosed) are not retried;
+// retryable is the retry predicate: permanent contract failures
+// (ErrInvalid) and terminal states (ErrClosed) are not retried;
 // everything else — transient-typed errors and unclassified I/O errors
 // alike — is.
-func DefaultRetryable(err error) bool {
-	return err != nil && !errors.Is(err, ErrInvalid) && !errors.Is(err, ErrClosed)
+func retryable(err error) bool {
+	return !errors.Is(err, ErrInvalid) && !errors.Is(err, ErrClosed)
 }
 
 // Retry decorates a Store with bounded retries under capped exponential
 // backoff with deterministic jitter. It makes the backend's transient
-// failures — a flaky disk, an injected fault, a latency blip that tripped
-// a deadline — invisible to callers as long as they pass within the
-// attempt budget; persistent failures surface after the last attempt,
-// typed as the backend returned them, for the circuit breaker above to
-// count.
+// failures — a flaky disk, an injected fault, a latency blip — invisible
+// to callers as long as they pass within the attempt budget; persistent
+// failures surface after the last attempt, typed as the backend returned
+// them. The store is a memo, so the caller treats that error as a miss.
 type Retry struct {
 	inner Store
 	cfg   RetryConfig
@@ -97,8 +64,7 @@ type Retry struct {
 
 // NewRetry wraps inner in a Retry decorator.
 func NewRetry(inner Store, cfg RetryConfig) *Retry {
-	cfg = cfg.withDefaults()
-	return &Retry{inner: inner, cfg: cfg, rng: cfg.Seed}
+	return &Retry{inner: inner, cfg: cfg.withDefaults(), rng: jitterSeed}
 }
 
 // Retries returns the total retry attempts performed (not counting each
@@ -128,15 +94,14 @@ func (r *Retry) jitter(d time.Duration) time.Duration {
 }
 
 // do runs op with retries. attempt is 1-based; after a retryable failure
-// that is not the last attempt, it sleeps min(MaxDelay, BaseDelay<<n) with
-// jitter, aborting early (and returning the last error) if the config
-// context is cancelled.
+// that is not the last attempt, it sleeps min(50×BaseDelay, BaseDelay<<n)
+// with jitter.
 func (r *Retry) do(op string, fn func() error) error {
-	var err error
+	maxDelay := 50 * r.cfg.BaseDelay
 	delay := r.cfg.BaseDelay
 	for attempt := 1; ; attempt++ {
-		err = fn()
-		if err == nil || attempt >= r.cfg.Attempts || !r.cfg.Retryable(err) {
+		err := fn()
+		if err == nil || attempt >= r.cfg.Attempts || !retryable(err) {
 			return err
 		}
 		r.mu.Lock()
@@ -145,13 +110,9 @@ func (r *Retry) do(op string, fn func() error) error {
 		if r.cfg.OnRetry != nil {
 			r.cfg.OnRetry(op, attempt, err)
 		}
-		if cerr := r.cfg.Ctx.Err(); cerr != nil {
-			return analysis.Wrap(analysis.StageStore, analysis.Transient, err,
-				"retry abandoned: %v", cerr)
-		}
-		r.cfg.Sleep(r.cfg.Ctx, r.jitter(delay))
-		if delay *= 2; delay > r.cfg.MaxDelay {
-			delay = r.cfg.MaxDelay
+		r.cfg.Sleep(r.jitter(delay))
+		if delay *= 2; delay > maxDelay {
+			delay = maxDelay
 		}
 	}
 }

@@ -11,6 +11,12 @@
 // Entries are immutable once put — a put to an existing key is a no-op
 // (first write wins, matching the ViewCache's verdict discipline), which
 // makes concurrent duplicate submissions idempotent.
+//
+// The store is a memo of a deterministic analysis, so a failed operation
+// can only ever cost a miss: callers treat any error as "not stored" and
+// recompute. Retry is the one resilience layer, absorbing transient
+// backend failures within its attempt budget; nothing stands in for a
+// backend that stays down.
 package store
 
 import (
@@ -21,10 +27,8 @@ import (
 )
 
 // Sentinel errors, matched with errors.Is. The split is load-bearing for
-// the resilience decorators: Retry only retries errors that are neither
-// ErrInvalid (the caller's fault, permanent) nor ErrClosed (the store is
-// gone for good), and Breaker counts only the retryable remainder as
-// backend failures.
+// Retry: it only retries errors that are neither ErrInvalid (the caller's
+// fault, permanent) nor ErrClosed (the store is gone for good).
 var (
 	// ErrInvalid marks a request the store rejected by contract (nil
 	// entry, malformed key). Retrying cannot help.

@@ -8,9 +8,9 @@
 #   back, quarantine the torn entry, and recompute rather than serve it.
 #
 #   Phase B — store outage: arm a fault plan that fails every store
-#   operation. The breaker must trip, /healthz must say degraded, and a
-#   resubmission must still be answered warm (zero solver runs) from the
-#   memory fallback.
+#   operation. Each failed operation is a miss, /healthz must say
+#   degraded, and a resubmission must still be answered warm (zero solver
+#   runs, same patterns) from the shared ViewCache.
 set -eu
 
 GO=${GO:-go}
@@ -93,7 +93,7 @@ fi
 stop_server
 echo "chaossmoke: phase A ok (torn entry quarantined, answer recomputed)"
 
-# ---- Phase B: store outage -> breaker trip -> fallback serving -----------
+# ---- Phase B: store outage -> every store op a miss -> ViewCache serving ---
 
 cat > "$WORK/plan.json" <<'EOF'
 {
@@ -106,7 +106,7 @@ cat > "$WORK/plan.json" <<'EOF'
 EOF
 
 "$WORK/server" -addr "127.0.0.1:$PORT" -store disk -store-dir "$WORK/store-b" \
-    -fault-plan "$WORK/plan.json" -store-retry-base 2ms -breaker-threshold 2 &
+    -fault-plan "$WORK/plan.json" -store-retry-base 2ms &
 SRV=$!
 wait_healthy
 
@@ -117,19 +117,24 @@ echo "$first" | jq -e '.diagnostics.solver_runs > 0' >/dev/null || {
     exit 1
 }
 second=$(curl -sf -X POST "$URL/analyze" -d "$REQ")
-echo "$second" | jq -e '.store.status == "hit" and .diagnostics.solver_runs == 0' >/dev/null || {
-    echo "chaossmoke: outage resubmission not served warm from the fallback:" >&2
+echo "$second" | jq -e '.store.status == "miss" and .diagnostics.solver_runs == 0' >/dev/null || {
+    echo "chaossmoke: outage resubmission not served warm from the ViewCache:" >&2
     echo "$second" | jq '.store, .diagnostics' >&2
     exit 1
 }
-curl -sf "$URL/healthz" | jq -e '.status == "degraded" and .store_breaker == "open"' >/dev/null || {
-    echo "chaossmoke: /healthz does not report the tripped breaker:" >&2
+if [ "$(echo "$first" | jq -cS '.report.patterns')" != \
+     "$(echo "$second" | jq -cS '.report.patterns')" ]; then
+    echo "chaossmoke: outage resubmission reports different patterns" >&2
+    exit 1
+fi
+curl -sf "$URL/healthz" | jq -e '.status == "degraded" and .store_failing' >/dev/null || {
+    echo "chaossmoke: /healthz does not report the failing store:" >&2
     curl -sf "$URL/healthz" | jq . >&2
     exit 1
 }
-curl -sf "$URL/metrics" | grep -q 'discovery_server_store_breaker_trips_total' || {
-    echo "chaossmoke: /metrics missing the breaker trip counter" >&2
+curl -sf "$URL/metrics" | grep -q 'discovery_server_store_errors_total' || {
+    echo "chaossmoke: /metrics missing the store error counter" >&2
     exit 1
 }
-echo "chaossmoke: phase B ok (breaker open, warm serving from fallback, healthz degraded)"
+echo "chaossmoke: phase B ok (store errors answered as misses, warm serving from the ViewCache, healthz degraded)"
 echo "chaossmoke: ok"
