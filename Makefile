@@ -1,6 +1,7 @@
 # Build, vet, test, and race-check the reproduction.
 #
 #   make check   — everything below in sequence (the tier-1 gate + races)
+#   make vet     — go vet, and fail on any tracked Go file gofmt would change
 #   make race    — race-detector pass over the concurrency-bearing packages
 #   make fuzz    — short native-fuzzing pass over the crash-safety targets
 #   make benchsmoke — one-iteration find benchmark + obs overhead gate
@@ -23,8 +24,14 @@ check: build vet test race
 build:
 	$(GO) build ./...
 
+# gofmt runs over the tracked files only, so the benchmark's build cache
+# (.bench_build/) is never scanned; any file it lists fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -40,6 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime $(FUZZTIME) ./internal/cp
 	$(GO) test -run '^$$' -fuzz '^FuzzFinalize$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPrescreen$$' -fuzztime $(FUZZTIME) ./internal/patterns
+	$(GO) test -run '^$$' -fuzz '^FuzzPrescreenDiff$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedCSR$$' -fuzztime $(FUZZTIME) ./internal/ddg
 	$(GO) test -run '^$$' -fuzz '^FuzzOverlayRank$$' -fuzztime $(FUZZTIME) ./internal/ddg
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"discovery/internal/ddg"
 	"discovery/internal/mir"
 	"discovery/internal/patterns"
 )
@@ -20,3 +21,10 @@ func SetMatchTaskHook(h func(kind patterns.Kind)) { matchTaskHook = h }
 // packages. The prescreen differential suite lives outside the package
 // because it compares report bytes, and report imports core.
 func GenRandomProgram(seed uint64) *mir.Program { return genProgram(seed) }
+
+// SetDerivedCensusHook installs (or, with nil, removes) the hook that sees
+// every census the finder derives from a subtract parent's, with the node
+// set and grouping loop it describes, on the worker goroutine.
+func SetDerivedCensusHook(h func(g *ddg.Graph, nodes ddg.Set, loop mir.LoopID, p *patterns.Prescreen)) {
+	derivedCensusHook = h
+}

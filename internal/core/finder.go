@@ -10,6 +10,7 @@ import (
 
 	"discovery/internal/analysis"
 	"discovery/internal/ddg"
+	"discovery/internal/mir"
 	"discovery/internal/obs"
 	"discovery/internal/patterns"
 	"discovery/internal/sched"
@@ -690,6 +691,13 @@ func sweep(sc *runSched, res *Result, phase string, n int, body func(i int)) {
 	res.Failures = append(res.Failures, fails...)
 }
 
+// diffCensusRatio bounds the removed part of a subtract difference whose
+// census is derived from its parent's (patterns.PrescreenDiff): derived
+// when ratio·|removed| < |difference|. The derivation visits the removed
+// nodes and their border twice over (parent and difference membership),
+// so past this share a full census of the difference is no dearer.
+const diffCensusRatio = 4
+
 // subtractPhase subtracts this iteration's matches from the unmatched
 // pool sub-DDGs. The candidate diffs are computed in parallel — each pool
 // index writes only its own slot — and folded into the pool sequentially
@@ -716,11 +724,15 @@ func subtractPhase(ctx context.Context, pool, matched []*SubDDG, sc *runSched, r
 			if g1.Nodes.Disjoint(g2.Nodes) {
 				continue // the difference would be g1 unchanged
 			}
-			diff := g1.Nodes.Diff(g2.Nodes)
+			diff, removed := g1.Nodes.Split(g2.Nodes)
 			if diff.Len() == 0 || diff.Len() == g1.Nodes.Len() {
 				continue
 			}
-			cands[i] = append(cands[i], &SubDDG{Nodes: diff, Loop: g1.Loop, Assoc: g1.Assoc})
+			s := &SubDDG{Nodes: diff, Loop: g1.Loop, Assoc: g1.Assoc}
+			if diffCensusRatio*removed.Len() < diff.Len() {
+				s.parent, s.removed = g1, removed
+			}
+			cands[i] = append(cands[i], s)
 		}
 	})
 	interrupted(ctx, res)
@@ -1280,9 +1292,13 @@ func (mp *matchPhase) safeTask(st *subState, slot int, b *patterns.Budget, out *
 // prep runs the sub-DDG's once-per-sub work on the first task to arrive:
 // the sub-DDG's overlay, the oversized-view gate and the structural
 // prescreen census. The census and the view (viewOf, which only runs
-// inside or after prep) both read the one overlay built here.
+// inside or after prep) both read the one overlay built here. A subtract
+// difference's record of its parent is consumed here whether or not a
+// census runs, so it never pins the parent longer than one iteration.
 func (mp *matchPhase) prep(st *subState) {
 	st.prepOnce.Do(func() {
+		parent, removed := st.s.parent, st.s.removed
+		st.s.parent, st.s.removed = nil, nil
 		st.sub = mp.gs.Overlay(st.s.Nodes)
 		max := mp.opts.maxViewGroups()
 		// Groups never outnumber nodes, so only a view bigger than the gate
@@ -1302,15 +1318,36 @@ func (mp *matchPhase) prep(st *subState) {
 			rec := mp.rec
 			if rec.Enabled() {
 				t0 := time.Now()
-				st.pre = patterns.PrescreenSub(st.sub, st.s.viewLoop(mp.compact))
+				st.pre = mp.census(st, parent, removed)
 				rec.Observe(obs.MetricPrescreenSeconds, time.Since(t0).Seconds())
 			} else {
-				st.pre = patterns.PrescreenSub(st.sub, st.s.viewLoop(mp.compact))
+				st.pre = mp.census(st, parent, removed)
 			}
 			mp.preChecks.Add(1)
 		}
 	})
 }
+
+// census computes the sub-DDG's structural census: derived from its
+// subtract parent's census when the parent kept one (a subtract difference
+// with a small removed part, see diffCensusRatio), otherwise one full pass
+// over the overlay. Both count as one census check.
+func (mp *matchPhase) census(st *subState, parent *SubDDG, removed ddg.Set) *patterns.Prescreen {
+	loop := st.s.viewLoop(mp.compact)
+	if parent == nil || parent.pre == nil {
+		return patterns.PrescreenSub(st.sub, loop)
+	}
+	p := patterns.PrescreenDiff(parent.pre, st.sub, removed, loop)
+	if derivedCensusHook != nil {
+		derivedCensusHook(mp.gs, st.s.Nodes, loop, p)
+	}
+	return p
+}
+
+// derivedCensusHook, when non-nil, sees every derived census with the node
+// set and grouping it describes, on the worker goroutine. Tests install it
+// through export_test.go to compare derived censuses with full ones.
+var derivedCensusHook func(g *ddg.Graph, nodes ddg.Set, loop mir.LoopID, p *patterns.Prescreen)
 
 // viewOf builds (once) and returns the sub-DDG's matching view, recording
 // its group count in the cache and the size histogram.
@@ -1425,6 +1462,9 @@ func (mp *matchPhase) finishSub(st *subState) {
 		}
 	}
 	st.s.Matched = found
+	if len(found) == 0 {
+		st.s.pre = st.pre // a subtract parent from the next iteration on
+	}
 	if st.exceeded.Load() {
 		mp.timedOut.Add(1)
 	}

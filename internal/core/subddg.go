@@ -31,6 +31,15 @@ type SubDDG struct {
 	// Matched patterns on this sub-DDG, filled by the match phase.
 	Matched []*patterns.Pattern
 
+	// parent and removed record a subtract difference (Nodes =
+	// parent.Nodes \ removed) whose census can be derived from the
+	// parent's; prep consumes and clears them. pre is the sub-DDG's own
+	// census, kept only while it is unmatched and so can still be a
+	// subtract parent.
+	parent  *SubDDG
+	removed ddg.Set
+	pre     *patterns.Prescreen
+
 	nhash    ddg.Hash128 // Nodes.Hash(), memoized (see setHash)
 	key      ddg.Hash128
 	vhash    ddg.Hash128

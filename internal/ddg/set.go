@@ -60,20 +60,35 @@ func (s Set) Union(t Set) Set {
 
 // Diff returns s \ t.
 func (s Set) Diff(t Set) Set {
-	out := make(Set, 0, len(s))
-	i, j := 0, 0
-	for i < len(s) {
-		for j < len(t) && t[j] < s[i] {
+	diff, _ := s.Split(t)
+	return diff
+}
+
+// Split returns s \ t and s ∩ t from one merge pass, for callers that need
+// both halves of s (the finder's subtract keeps the removed part to derive
+// the difference's census from its parent's). The halves share one
+// allocation of len(s) ids: the difference fills it from the front, the
+// intersection from the back, and each is capped so appending to one
+// never overwrites the other.
+func (s Set) Split(t Set) (diff, common Set) {
+	buf := make(Set, len(s))
+	d, c := 0, len(s)
+	j := 0
+	for _, u := range s {
+		for j < len(t) && t[j] < u {
 			j++
 		}
-		if j < len(t) && t[j] == s[i] {
-			i++
-			continue
+		if j < len(t) && t[j] == u {
+			c--
+			buf[c] = u
+		} else {
+			buf[d] = u
+			d++
 		}
-		out = append(out, s[i])
-		i++
 	}
-	return out
+	common = buf[c:]
+	slices.Reverse(common)
+	return buf[:d:d], common
 }
 
 // Intersect returns s ∩ t.

@@ -94,6 +94,10 @@ func TestSetAlgebraProperties(t *testing.T) {
 		"diff then union restores subset": func(a, b, _ Set) bool {
 			return a.Diff(b).Union(a.Intersect(b)).Equal(a)
 		},
+		"split is diff and intersect": func(a, b, _ Set) bool {
+			d, c := a.Split(b)
+			return d.Equal(a.Diff(b)) && c.Equal(a.Intersect(b))
+		},
 		"de morgan-ish: diff disjoint from intersect": func(a, b, _ Set) bool {
 			return a.Diff(b).Disjoint(a.Intersect(b))
 		},

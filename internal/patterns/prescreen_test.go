@@ -9,6 +9,8 @@ package patterns
 // suite in core guards end to end).
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"discovery/internal/ddg"
@@ -198,5 +200,139 @@ func FuzzPrescreen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, nodes := genScreenGraph(data)
 		checkSound(t, g, nodes)
+	})
+}
+
+// prescreenMismatch names the first exported field or CannotMatch verdict
+// on which got and want differ, or returns "" when they agree. Fields are
+// walked by reflection so a field added later is compared too.
+func prescreenMismatch(got, want *Prescreen) string {
+	vg, vw := reflect.ValueOf(*got), reflect.ValueOf(*want)
+	for i := 0; i < vg.NumField(); i++ {
+		if f := vg.Type().Field(i); f.IsExported() && vg.Field(i).Interface() != vw.Field(i).Interface() {
+			return fmt.Sprintf("%s = %v, want %v", f.Name, vg.Field(i), vw.Field(i))
+		}
+	}
+	for k := 0; k < 256; k++ {
+		if g, w := got.CannotMatch(Kind(k)), want.CannotMatch(Kind(k)); g != w {
+			return fmt.Sprintf("CannotMatch(%v) = %v, want %v", Kind(k), g, w)
+		}
+	}
+	return ""
+}
+
+// checkDiff derives the census of nodes \ removed from the census of nodes
+// and fails unless it equals a full census of the difference, for both the
+// node view and the loop-1 view. It returns the node view's parent and
+// derived censuses.
+func checkDiff(t *testing.T, g *ddg.Graph, nodes, removed ddg.Set) (parent, derived *Prescreen) {
+	t.Helper()
+	diff := nodes.Diff(removed)
+	for _, loop := range []mir.LoopID{1, 0} {
+		parent = PrescreenSub(g.Overlay(nodes), loop)
+		sub := g.Overlay(diff)
+		got := PrescreenDiff(parent, sub, removed, loop)
+		want := PrescreenSub(sub, loop)
+		if m := prescreenMismatch(got, want); m != "" {
+			t.Fatalf("loop=%d, %d members minus %v: derived census %s", loop, nodes.Len(), removed, m)
+		}
+		if again := PrescreenSub(g.Overlay(nodes), loop); prescreenMismatch(parent, again) != "" {
+			t.Fatalf("loop=%d: PrescreenDiff modified its parent census", loop)
+		}
+		derived = got
+	}
+	return parent, derived
+}
+
+func TestPrescreenDiffEdgeCases(t *testing.T) {
+	t.Run("empties the top in-degree bucket", func(t *testing.T) {
+		// w is the only member of in-degree two; removing one of its
+		// producers must drop MaxIn to one and Junctions to zero.
+		b := newGB()
+		u := b.node(mir.OpFAdd, 0, b.node(mir.OpI2F, -1))
+		v := b.node(mir.OpFAdd, 1, b.node(mir.OpI2F, -1))
+		w := b.node(mir.OpFAdd, 2, u, v)
+		x := b.node(mir.OpFAdd, 3, w)
+		p, d := checkDiff(t, b.Graph(), ddg.NewSet(u, v, w, x), ddg.NewSet(v))
+		if p.MaxIn != 2 || p.Junctions != 1 || d.MaxIn != 1 || d.Junctions != 0 {
+			t.Errorf("MaxIn/Junctions %d/%d -> %d/%d, want 2/1 -> 1/0", p.MaxIn, p.Junctions, d.MaxIn, d.Junctions)
+		}
+	})
+	t.Run("drops the last non-associative op", func(t *testing.T) {
+		// Removing the one fsub leaves an all-fadd chain.
+		b := newGB()
+		chain := addChainDDG(b, 4)
+		odd := b.node(mir.OpFSub, 4, chain[len(chain)-1])
+		if p, d := checkDiff(t, b.Graph(), chain.Union(ddg.NewSet(odd)), ddg.NewSet(odd)); p.AllAssocOneOp || !d.AllAssocOneOp {
+			t.Errorf("AllAssocOneOp %v -> %v, want false -> true", p.AllAssocOneOp, d.AllAssocOneOp)
+		}
+		// The map's fsub/fmul pairs lose every fsub: fmul alone is one
+		// associative op.
+		g2, mapNodes := buildMapDDG(3)
+		var subs []ddg.NodeID
+		for i := 0; i < len(mapNodes); i += 2 {
+			subs = append(subs, mapNodes[i])
+		}
+		if _, d := checkDiff(t, g2, mapNodes, ddg.NewSet(subs...)); !d.AllAssocOneOp {
+			t.Errorf("fmul-only difference not one associative op")
+		}
+	})
+	t.Run("removes everything but one member", func(t *testing.T) {
+		g, chain := buildChainDDG(4)
+		checkDiff(t, g, chain, chain[1:])
+		checkDiff(t, g, chain, chain[:3])
+	})
+	t.Run("isolates a neighbour", func(t *testing.T) {
+		// x's only predecessor is the member w: removing w turns it into an
+		// external producer of x; removing x leaves w an isolated sink.
+		b := newGB()
+		w := b.node(mir.OpFAdd, 0)
+		x := b.node(mir.OpFAdd, 0, w)
+		y := b.node(mir.OpFAdd, 1)
+		checkDiff(t, b.Graph(), ddg.NewSet(w, x, y), ddg.NewSet(w))
+		checkDiff(t, b.Graph(), ddg.NewSet(w, x, y), ddg.NewSet(x))
+	})
+	t.Run("removes the only loop-carried arc", func(t *testing.T) {
+		b := newGB()
+		a := b.node(mir.OpFMul, 0, b.node(mir.OpI2F, -1))
+		c := b.node(mir.OpFMul, 1, a)
+		d := b.node(mir.OpFMul, 1, b.node(mir.OpI2F, -1))
+		b.node(mir.OpFloor, -1, c)
+		nodes := ddg.NewSet(a, c, d)
+		checkDiff(t, b.Graph(), nodes, ddg.NewSet(a))
+		p := PrescreenSub(b.Graph().Overlay(nodes), 1)
+		dv := PrescreenDiff(p, b.Graph().Overlay(ddg.NewSet(c, d)), ddg.NewSet(a), 1)
+		if !p.InterGroup || dv.InterGroup {
+			t.Errorf("InterGroup %v -> %v, want true -> false", p.InterGroup, dv.InterGroup)
+		}
+	})
+	t.Run("parallel arcs into the border", func(t *testing.T) {
+		b := newGB()
+		u := b.node(mir.OpFAdd, 0, b.node(mir.OpI2F, -1))
+		v := b.node(mir.OpFAdd, 0, u, u)
+		w := b.node(mir.OpFAdd, 1, v, v)
+		checkDiff(t, b.Graph(), ddg.NewSet(u, v, w), ddg.NewSet(v))
+	})
+}
+
+// FuzzPrescreenDiff fuzzes the difference census: on generated graphs,
+// member sets and removed subsets (bit i of drop removes member i), the
+// census derived from the parent's must equal a full census of the
+// difference, field for field and verdict for verdict.
+func FuzzPrescreenDiff(f *testing.F) {
+	f.Add([]byte{}, uint32(1))
+	f.Add([]byte{7, 1, 2, 3}, uint32(0b10))
+	f.Add([]byte{24, 0, 0, 0, 0, 0, 0, 0, 0}, uint32(0xffff))
+	f.Add([]byte{200, 9, 33, 1, 77, 5, 0, 8, 14, 3, 91, 2}, uint32(0x5555))
+	f.Add([]byte{16, 255, 128, 64, 32, 16, 8, 4, 2, 1}, uint32(0xfffffffe))
+	f.Fuzz(func(t *testing.T, data []byte, drop uint32) {
+		g, nodes := genScreenGraph(data)
+		var removed []ddg.NodeID
+		for i, u := range nodes {
+			if drop&(1<<(i%32)) != 0 {
+				removed = append(removed, u)
+			}
+		}
+		checkDiff(t, g, nodes, ddg.NewSet(removed...))
 	})
 }

@@ -61,6 +61,10 @@ func (c BrownoutConfig) factor(occupancy float64) float64 {
 	return 1 - (occupancy-c.Threshold)/span*(1-c.MinFraction)
 }
 
+// retrySleep is the Retry layer's backoff sleep; tests replace it to
+// count sleeps without waiting them out.
+var retrySleep = time.Sleep
+
 // storeGet looks key up in the result store. The store is a memo of a
 // deterministic analysis, so an error is a miss: it is counted and
 // flagged on /healthz, and the request recomputes.

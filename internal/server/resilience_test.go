@@ -3,8 +3,11 @@ package server
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"discovery/internal/fault"
 	"discovery/internal/store"
 )
 
@@ -68,5 +71,53 @@ func TestBrownoutClampsBudget(t *testing.T) {
 	}
 	if resp.Diagnostics.BrownoutMS != 0 || s.brownouts.Load() != 1 {
 		t.Fatalf("clamp below threshold: diag %+v counter %d", resp.Diagnostics, s.brownouts.Load())
+	}
+}
+
+// TestStatsDuringStoreOutage: /stats reads the store's size once from the
+// bare store, so under an outage it answers without a Retry backoff, and it
+// leaves /healthz store_failing to the gets and puts that keep failing.
+func TestStatsDuringStoreOutage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ops  []string
+	}{
+		{"gets and puts fail", []string{"store.get", "store.put"}},
+		{"every operation fails", []string{"store.get", "store.put", "store.len"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sleeps atomic.Int64
+			retrySleep = func(time.Duration) { sleeps.Add(1) }
+			t.Cleanup(func() { retrySleep = time.Sleep })
+			spec := fault.PlanSpec{Name: tc.name}
+			for _, op := range tc.ops {
+				spec.Rules = append(spec.Rules, fault.Rule{Op: op, Every: 1, Action: fault.ActionError})
+			}
+			plan, err := fault.New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ts := newTestServer(t, Config{Store: plan.Store(store.NewMemory())})
+			if _, code := analyze(t, ts, `{"bench":"md5","version":"seq"}`); code != 200 {
+				t.Fatalf("request under store outage: status %d", code)
+			}
+			before := sleeps.Load()
+			if before == 0 {
+				t.Fatal("the request's failing store operations were not retried")
+			}
+			var stats statsJSON
+			getJSON(t, ts, "/stats", &stats)
+			if n := sleeps.Load() - before; n != 0 {
+				t.Errorf("/stats slept %d Retry backoff(s) under the outage", n)
+			}
+			var health struct {
+				Status       string `json:"status"`
+				StoreFailing bool   `json:"store_failing"`
+			}
+			getJSON(t, ts, "/healthz", &health)
+			if health.Status != "degraded" || !health.StoreFailing {
+				t.Errorf("healthz after /stats under outage: %+v, want degraded with store_failing", health)
+			}
+		})
 	}
 }

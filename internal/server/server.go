@@ -163,6 +163,7 @@ func New(cfg Config) *Server {
 			OnRetry: func(op string, attempt int, err error) {
 				s.reg.Count(obs.MetricServerStoreRetries, 1)
 			},
+			Sleep: retrySleep,
 		})
 	}
 	s.mux.HandleFunc("/analyze", s.handleAnalyze)
@@ -339,9 +340,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.st != nil {
 		out.StoreKind = fmt.Sprintf("%T", s.cfg.Store)
-		n, err := s.st.Len()
-		s.noteStore(err)
-		out.StoreLen = n
+		// One read of the bare store, outside Retry: /stats answers at
+		// once under an outage (0 when Len fails), and store_failing
+		// follows the gets and puts that serve requests, not this probe.
+		out.StoreLen, _ = s.cfg.Store.Len()
 	}
 	out.StoreErrors = s.storeErrors.Load()
 	if q, ok := s.cfg.Store.(interface{ Quarantined() int }); ok {
